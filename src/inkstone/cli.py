@@ -20,9 +20,8 @@ from .errors import ConfigError, DataError
 def _write_manifest(location, command: str, argv, args: argparse.Namespace) -> None:
     location = Path(location)
     out_dir = location if location.is_dir() else location.parent
-    skip = {"func", "_argv"}
     plain = {k: (str(v) if isinstance(v, Path) else v)
-             for k, v in vars(args).items() if k not in skip}
+             for k, v in vars(args).items() if k != "func"}
     payload = {"command": command, "argv": list(argv), "args": plain}
     path = out_dir / "run_manifest.json"
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -69,7 +68,6 @@ def cmd_preprocess(args) -> int:
         raise DataError(f"{args.input}: nothing left after cleaning")
     with open(args.output, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n\n".join(cleaned) + "\n")
-    _write_manifest(args.output, "preprocess", args._argv, args)
     print(f"wrote {len(cleaned)} documents to {args.output}")
     return 0
 
@@ -83,7 +81,6 @@ def cmd_build_vocab(args) -> int:
             tokens.extend(tokenize(f.read()).tokens)
     vocab = build_vocab(tokens)
     save_vocab(vocab, args.output)
-    _write_manifest(args.output, "build-vocab", args._argv, args)
     print(f"wrote {len(vocab)} tokens to {args.output}")
     return 0
 
@@ -101,7 +98,6 @@ def cmd_stats(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as f:
             f.write(report)
-        _write_manifest(args.output, "stats", args._argv, args)
     print(report, end="")
     return 0
 
@@ -132,7 +128,6 @@ def cmd_pretrain(args) -> int:
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = pretrain(texts, vocab, model_cfg, cfg, init=init, out_dir=out_dir)
-    _write_manifest(out_dir, "pretrain", args._argv, args)
     print(f"finished at step {ckpt.step}; checkpoint in {out_dir}")
     return 0
 
@@ -162,7 +157,6 @@ def cmd_finetune(args) -> int:
     ckpt, history = run_task(args.task, encoder, vocab, train, dev,
                              out_dir=out_dir, **overrides)
     save_checkpoint(ckpt, out_dir / "best.ckpt")
-    _write_manifest(out_dir, "finetune", args._argv, args)
     best = max(h[2] for h in history)
     print(f"best dev score {best:.4f} at epoch {ckpt.step}; outputs in {out_dir}")
     return 0
@@ -178,7 +172,6 @@ def cmd_generate(args) -> int:
                        max_decode_len=args.max_decode_len,
                        length_penalty=args.length_penalty).validate()
     n = decode_file(ckpt, vocab, args.input, args.output, cfg)
-    _write_manifest(args.output, "generate", args._argv, args)
     print(f"generated {n} lines to {args.output}")
     return 0
 
@@ -196,7 +189,6 @@ def cmd_score(args) -> int:
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="\n") as f:
                 f.write(report.to_json() + "\n")
-            _write_manifest(args.output, "score", args._argv, args)
         print(f"{report.score:.2f}")
     else:
         if not args.predictions or not args.labels:
@@ -208,7 +200,6 @@ def cmd_score(args) -> int:
             payload = json.dumps({"accuracy": value}, sort_keys=True)
             with open(args.output, "w", encoding="utf-8", newline="\n") as f:
                 f.write(payload + "\n")
-            _write_manifest(args.output, "score", args._argv, args)
         print(f"{value:.4f}")
     return 0
 
@@ -233,7 +224,6 @@ def cmd_eval_sheets(args) -> int:
     sheets, key = make_eval_sheets(items, args.evaluators, args.output,
                                    items_per_system=args.items_per_system,
                                    seed=args.seed)
-    _write_manifest(args.output, "eval-sheets", args._argv, args)
     print(f"wrote {len(sheets)} sheets and {key.name} to {args.output}")
     return 0
 
@@ -246,7 +236,6 @@ def cmd_aggregate(args) -> int:
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
-        _write_manifest(args.output, "aggregate", args._argv, args)
     print(text, end="")
     return 0
 
@@ -395,9 +384,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
-    args._argv = argv
     try:
-        return args.func(args)
+        code = args.func(args)
+        if code == 0 and getattr(args, "output", None):
+            _write_manifest(args.output, args.command, argv, args)
+        return code
     except (DataError, FileNotFoundError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

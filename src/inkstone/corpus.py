@@ -113,10 +113,10 @@ def load_documents(path, kind: str = "article") -> list[RawDocument]:
     return docs
 
 
-def _join_lines(lines: Sequence[str]) -> tuple[str, str]:
-    """Pick the line separator: ideographic comma unless it would collide."""
+def _join_lines(lines: Sequence[str]) -> str:
+    """Join with the ideographic comma, or "|" when a line already ends in one."""
     sep = "，" if not any(ln.endswith("，") for ln in lines) else "|"
-    return sep, sep.join(lines)
+    return sep.join(lines)
 
 
 def make_cpg_pairs(lines: Sequence[str], mode: str) -> ParallelExample:
@@ -136,9 +136,8 @@ def make_cpg_pairs(lines: Sequence[str], mode: str) -> ParallelExample:
         cut, task = 1, "CPG13"
     else:
         raise DatasetError(f"unknown pairing mode {mode!r}, expected '2-2' or '1-3'")
-    _, src = _join_lines(lines[:cut])
-    _, tgt = _join_lines(lines[cut:])
-    return ParallelExample(source=tokenize(src), target=tokenize(tgt), task=task)
+    return ParallelExample(source=tokenize(_join_lines(lines[:cut])),
+                           target=tokenize(_join_lines(lines[cut:])), task=task)
 
 
 def load_parallel_tsv(path, task: str) -> list[ParallelExample]:

@@ -1,10 +1,10 @@
 """Task fine-tuning: sentence classification and seq2seq generation.
 
-The whole encoder is always trainable. Classification adds a linear
-head over the pooled state and trains with a flat learning rate;
-generation attaches a fresh decoder, trains teacher-forced with the
-Noam schedule, and selects the epoch with the best dev metric (ties go
-to the later epoch).
+Classification adds a linear head over the pooled state and trains
+with a flat learning rate; generation attaches a fresh decoder and
+trains teacher-forced with the Noam schedule, optionally with the
+encoder frozen. Both share one epoch loop that keeps the epoch with the
+best dev metric (ties go to the later epoch).
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from .model import (
     encoder_forward,
     ensure_cls_head,
     init_seq2seq_from_encoder,
+    parameter_spec,
 )
-from .optim import AdamState, adam_step, collect_grads, noam_lr
+from .optim import AdamState, noam_lr, train_step
 from .vocab import Vocab, encode, tokenize
 
 
@@ -98,10 +99,35 @@ def resolve_task_config(task: str, **overrides):
     return Seq2SeqTaskConfig(**merged).validate()
 
 
-def _batches(n: int, batch_size: int, rng: np.random.Generator):
-    order = rng.permutation(n)
-    for lo in range(0, n, batch_size):
-        yield order[lo : lo + batch_size]
+def _fit(ckpt: Checkpoint, n: int, batch_size: int, epochs: int,
+         rng: np.random.Generator, batch_loss, lr_at, evaluate, **adam) -> list[tuple]:
+    """Shuffled minibatch epochs with a dev evaluation after each one.
+
+    batch_loss(idx) builds the loss of one batch of example indices,
+    lr_at(step) gives the learning rate of a 1-based step, and evaluate()
+    scores the current weights. The weights of the best epoch are
+    restored into ckpt and ckpt.step records that epoch. History rows are
+    (epoch, mean train loss, dev score).
+    """
+    state = AdamState()
+    step = 0
+    best = (-1.0, -1, None)
+    history: list[tuple] = []
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n)
+        losses = []
+        for lo in range(0, n, batch_size):
+            step += 1
+            loss = batch_loss(order[lo : lo + batch_size])
+            losses.append(train_step(ckpt.params, loss, state, lr_at(step), **adam))
+        score = evaluate()
+        history.append((epoch, float(np.mean(losses)), score))
+        if score >= best[0]:
+            best = (score, epoch, {k: v.data.copy() for k, v in ckpt.params.items()})
+    for name, data in best[2].items():
+        ckpt.params[name].data = data
+    ckpt.step = best[1]
+    return history
 
 
 def classify(ckpt: Checkpoint, vocab: Vocab, texts: Sequence[str],
@@ -140,37 +166,25 @@ def finetune_classifier(encoder_ckpt: Checkpoint, vocab: Vocab,
     ckpt.config.dropout_rate = cfg.dropout
     ensure_cls_head(ckpt, cfg.num_classes, init_seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    state = AdamState()
     max_len = min(cfg.max_len, ckpt.config.max_positions)
 
     encoded = [encode(tokenize(t), vocab, max_len) for t, _ in train_data]
     ids_all = np.stack([e[0] for e in encoded])
     mask_all = np.stack([e[1] for e in encoded])
     labels_all = np.array([lab for _, lab in train_data], dtype=np.int64)
+    train_mode = cfg.dropout > 0.0
 
-    best = (-1.0, -1, None)
-    history: list[tuple] = []
-    for epoch in range(1, cfg.epochs + 1):
-        losses = []
-        for idx in _batches(len(train_data), cfg.batch_size, rng):
-            train_mode = cfg.dropout > 0.0
-            out = encoder_forward(ckpt, ids_all[idx], mask_all[idx],
-                                  train=train_mode, rng=rng)
-            logits = cls_head(ckpt, out.pooled, train=train_mode, rng=rng)
-            loss = T.cross_entropy_masked(logits, np.arange(idx.size), labels_all[idx])
-            T.backward(loss)
-            adam_step(ckpt.params, collect_grads(ckpt.params), state,
-                      lr=cfg.learning_rate)
-            losses.append(float(loss.data))
+    def batch_loss(idx):
+        out = encoder_forward(ckpt, ids_all[idx], mask_all[idx], train=train_mode, rng=rng)
+        logits = cls_head(ckpt, out.pooled, train=train_mode, rng=rng)
+        return T.cross_entropy_masked(logits, np.arange(idx.size), labels_all[idx])
+
+    def dev_accuracy():
         preds = classify(ckpt, vocab, [t for t, _ in dev_data], max_len)
-        dev_acc = float(np.mean([p == lab for p, (_, lab) in zip(preds, dev_data)]))
-        history.append((epoch, float(np.mean(losses)), dev_acc))
-        if dev_acc >= best[0]:
-            best = (dev_acc, epoch, {k: v.data.copy() for k, v in ckpt.params.items()})
-    assert best[2] is not None
-    for name, data in best[2].items():
-        ckpt.params[name].data = data
-    ckpt.step = best[1]
+        return float(np.mean([p == lab for p, (_, lab) in zip(preds, dev_data)]))
+
+    history = _fit(ckpt, len(train_data), cfg.batch_size, cfg.epochs, rng, batch_loss,
+                   lambda step: cfg.learning_rate, dev_accuracy)
     return ckpt, history
 
 
@@ -241,42 +255,25 @@ def finetune_seq2seq(encoder_ckpt: Checkpoint, vocab: Vocab,
                                      init_seed=cfg.seed)
     ckpt.config.dropout_rate = cfg.dropout
     rng = np.random.default_rng(cfg.seed)
-    state = AdamState()
     d_model = ckpt.config.hidden_size
-    trainable = dict(ckpt.params)
-    if cfg.freeze_encoder:
-        from .model import parameter_spec
-
-        enc_names = set(parameter_spec(encoder_ckpt.config))
-        trainable = {k: v for k, v in ckpt.params.items() if k not in enc_names}
-
-    step = 0
-    best = (-1.0, -1, None)
-    history: list[tuple] = []
     pairs = list(train_pairs)
-    for epoch in range(1, cfg.epochs + 1):
-        losses = []
-        for idx in _batches(len(pairs), cfg.batch_size, rng):
-            step += 1
-            batch = [pairs[i] for i in idx]
-            train_mode = cfg.dropout > 0.0
-            loss = seq2seq_loss(ckpt, vocab, batch, max_len,
-                                train=train_mode, rng=rng)
-            T.backward(loss)
-            grads = collect_grads(ckpt.params)
-            grads = {k: g for k, g in grads.items() if k in trainable}
-            adam_step(trainable, grads, state,
-                      lr=noam_lr(step, cfg.warmup_steps, d_model),
-                      beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-            losses.append(float(loss.data))
-        score = dev_bleu(ckpt, vocab, dev_pairs, cfg.bleu_n, cfg.max_decode_len)
-        history.append((epoch, float(np.mean(losses)), score))
-        if score >= best[0]:
-            best = (score, epoch, {k: v.data.copy() for k, v in ckpt.params.items()})
-    assert best[2] is not None
-    for name, data in best[2].items():
-        ckpt.params[name].data = data
-    ckpt.step = best[1]
+    train_mode = cfg.dropout > 0.0
+    # frozen leaves record no graph, so the encoder backward is never run
+    frozen = ([ckpt.params[k] for k in parameter_spec(encoder_ckpt.config)]
+              if cfg.freeze_encoder else [])
+    for p in frozen:
+        p.requires_grad = False
+
+    def batch_loss(idx):
+        return seq2seq_loss(ckpt, vocab, [pairs[i] for i in idx], max_len,
+                            train=train_mode, rng=rng)
+
+    history = _fit(ckpt, len(pairs), cfg.batch_size, cfg.epochs, rng, batch_loss,
+                   lambda step: noam_lr(step, cfg.warmup_steps, d_model),
+                   lambda: dev_bleu(ckpt, vocab, dev_pairs, cfg.bleu_n, cfg.max_decode_len),
+                   beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+    for p in frozen:
+        p.requires_grad = True
     return ckpt, history
 
 

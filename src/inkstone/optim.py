@@ -1,4 +1,5 @@
-"""Adam with decoupled weight decay, and the Noam learning-rate schedule."""
+"""Adam with decoupled weight decay, the Noam learning-rate schedule, and
+the one training step every trainer takes."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tensor as T
 from .tensor import Tensor
 
 
@@ -64,6 +66,14 @@ def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
             grads[name] = p.grad
             p.grad = None
     return grads
+
+
+def train_step(params: dict[str, Tensor], loss: Tensor, state: AdamState,
+               lr: float, **adam) -> float:
+    """Backpropagate loss, apply one Adam update, and return the loss value."""
+    T.backward(loss)
+    adam_step(params, collect_grads(params), state, lr=lr, **adam)
+    return float(loss.data)
 
 
 def noam_lr(step: int, warmup_steps: int, d_model: int) -> float:

@@ -10,6 +10,7 @@ one generator seeded by the config, so a seed pins the loss sequence.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -27,7 +28,7 @@ from .model import (
     mlm_head,
     save_checkpoint,
 )
-from .optim import AdamState, adam_step, collect_grads
+from .optim import AdamState, train_step
 from .vocab import Vocab, encode, tokenize
 
 
@@ -179,53 +180,51 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
     n_chunks = pool_ids.shape[0]
 
     state = ckpt.opt_state if isinstance(ckpt.opt_state, AdamState) else AdamState()
-    log_lines: list[str] = []
-    log_path = None
     if out_dir is not None:
         import pathlib
 
         out_dir = pathlib.Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        log_path = out_dir / "train.log"
 
     order = rng.permutation(n_chunks)
     cursor = 0
     start_step = ckpt.step
     t_start = time.monotonic()
-    for step in range(start_step + 1, start_step + cfg.max_steps + 1):
-        take = []
-        while len(take) < cfg.batch_size:
-            if cursor >= n_chunks:
-                order = rng.permutation(n_chunks)
-                cursor = 0
-            take.append(order[cursor])
-            cursor += 1
-        idx = np.array(take)
+    # the log is streamed so an interrupted run keeps the steps it finished
+    with (open(out_dir / "train.log", "w", encoding="utf-8") if out_dir is not None
+          else contextlib.nullcontext()) as log:
+        for step in range(start_step + 1, start_step + cfg.max_steps + 1):
+            take = []
+            while len(take) < cfg.batch_size:
+                if cursor >= n_chunks:
+                    order = rng.permutation(n_chunks)
+                    cursor = 0
+                take.append(order[cursor])
+                cursor += 1
+            idx = np.array(take)
 
-        batch = _mask_batch_nonempty(pool_ids[idx], vocab, cfg.masking, rng)
-        train = model_cfg.dropout_rate > 0.0
-        out = encoder_forward(ckpt, batch.input_ids, batch.attention_mask,
-                              train=train, rng=rng)
-        length = batch.input_ids.shape[1]
-        logits = T.reshape(mlm_head(ckpt, out.hidden), (idx.size * length, len(vocab)))
-        flat_positions = batch.label_rows * length + batch.label_cols
-        loss = T.cross_entropy_masked(logits, flat_positions, batch.label_ids)
-        T.backward(loss)
-        adam_step(ckpt.params, collect_grads(ckpt.params), state,
-                  lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
+            batch = _mask_batch_nonempty(pool_ids[idx], vocab, cfg.masking, rng)
+            train = model_cfg.dropout_rate > 0.0
+            out = encoder_forward(ckpt, batch.input_ids, batch.attention_mask,
+                                  train=train, rng=rng)
+            length = batch.input_ids.shape[1]
+            logits = T.reshape(mlm_head(ckpt, out.hidden), (idx.size * length, len(vocab)))
+            flat_positions = batch.label_rows * length + batch.label_cols
+            loss = T.cross_entropy_masked(logits, flat_positions, batch.label_ids)
+            loss_value = train_step(ckpt.params, loss, state, cfg.learning_rate,
+                                    weight_decay=cfg.weight_decay)
 
-        ckpt.step = step
-        elapsed_ms = int((time.monotonic() - t_start) * 1000)
-        log_lines.append(f"{step}\t{float(loss.data):.6f}\t{cfg.learning_rate:.8g}\t{elapsed_ms}")
-        if cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and out_dir is not None:
-            ckpt.opt_state = state
-            save_checkpoint(ckpt, out_dir / f"step_{step}.ckpt")
+            ckpt.step = step
+            if log is not None:
+                elapsed_ms = int((time.monotonic() - t_start) * 1000)
+                print(f"{step}\t{loss_value:.6f}\t{cfg.learning_rate:.8g}\t{elapsed_ms}",
+                      file=log, flush=True)
+            if cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and out_dir is not None:
+                ckpt.opt_state = state
+                save_checkpoint(ckpt, out_dir / f"step_{step}.ckpt")
 
     ckpt.opt_state = state
     if out_dir is not None:
-        assert log_path is not None
-        with open(log_path, "w", encoding="utf-8") as f:
-            f.write("\n".join(log_lines) + "\n")
         save_checkpoint(ckpt, out_dir / "final.ckpt")
     return ckpt
 

@@ -31,10 +31,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def is_grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class EmptyBatchError(ValueError):
     """A loss was requested over zero labeled positions."""
 
@@ -119,10 +115,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
 
     return _result(data, (a, b), backward_fn)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, scale(b, -1.0))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

@@ -36,10 +36,9 @@ def _is_cjk(ch: str) -> bool:
 
 @dataclass
 class TokenSequence:
-    """Tokens plus an optional (start, end) span into the source text."""
+    """The tokens of one text."""
 
     tokens: list[str]
-    source_span: tuple[int, int] | None = None
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -61,8 +60,7 @@ def tokenize(text: str) -> TokenSequence:
             tokens.append(ch.lower())
         else:
             tokens.append(ch)
-    span = (0, len(text)) if text else None
-    return TokenSequence(tokens, source_span=span)
+    return TokenSequence(tokens)
 
 
 @dataclass

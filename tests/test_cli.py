@@ -178,3 +178,31 @@ class TestReproduce:
         assert main(["reproduce", "--manifest", bad]) == 2
         noargv = write(tmp_path / "noargv.json", json.dumps({"stages": [{}]}))
         assert main(["reproduce", "--manifest", noargv]) == 2
+
+
+class TestManifest:
+    def test_written_once_with_command_argv_and_args(self, workspace):
+        d = workspace["dir"]
+        vocab = d / "vocab.txt"
+        argv = ["build-vocab", "--input", workspace["raw"], "--output", str(vocab)]
+        assert main(argv) == 0
+        want = {"command": "build-vocab", "argv": argv,
+                "args": {"command": "build-vocab", "input": [workspace["raw"]],
+                         "output": str(vocab)}}
+        text = (d / "run_manifest.json").read_text(encoding="utf-8")
+        assert text == json.dumps(want, sort_keys=True, ensure_ascii=False,
+                                  indent=2) + "\n"
+
+    def test_failed_subcommand_writes_none(self, tmp_path):
+        empty = write(tmp_path / "empty.txt", "\n\n")
+        assert main(["preprocess", "--input", empty,
+                     "--output", str(tmp_path / "clean.txt")]) == 2
+        assert main(["build-vocab", "--input", str(tmp_path / "missing.txt"),
+                     "--output", str(tmp_path / "v.txt")]) == 2
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    def test_stats_without_output_writes_none(self, workspace, monkeypatch):
+        d = workspace["dir"]
+        monkeypatch.chdir(d)
+        assert main(["stats", "--input", f"article={workspace['raw']}"]) == 0
+        assert not (d / "run_manifest.json").exists()

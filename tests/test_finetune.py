@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from inkstone import finetune, optim
 from inkstone import tensor as T
 from inkstone.corpus import ParallelExample
 from inkstone.errors import ConfigError, DatasetError
@@ -19,6 +20,24 @@ from inkstone.model import ModelConfig, build_model, parameter_spec
 from inkstone.vocab import TokenSequence, build_vocab
 
 CHARS = [chr(c) for c in range(0x4E00, 0x4E00 + 10)]
+
+# Captured from the hand-written epoch loops before they were merged into
+# one; a change in RNG draw order or update arithmetic moves these.
+PINNED_CLS_HISTORY = [
+    (1, 0.7186862826347351, 0.5),
+    (2, 0.6834599177042643, 0.5),
+    (3, 0.6681526104609171, 0.5),
+]
+PINNED_S2S_HISTORY = [
+    (1, 2.653163274129232, 3.3833820809153177),
+    (2, 2.196883201599121, 9.622504486493762),
+    (3, 1.7276971737543743, 18.307376191519623),
+]
+PINNED_S2S_FROZEN_HISTORY = [
+    (1, 2.6530237992604575, 3.3833820809153177),
+    (2, 2.195019483566284, 9.622504486493762),
+    (3, 1.6980419953664143, 17.677669529663692),
+]
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +67,24 @@ def copy_pairs(rng, n, length=3):
         pairs.append(ParallelExample(TokenSequence(list(toks)),
                                      TokenSequence(list(toks)), "AMCT"))
     return pairs
+
+
+def seeded_seq2seq_run(encoder, vocab, freeze_encoder):
+    """Three epochs with dropout on; the fixture encoder's own rate is overridden."""
+    rng = np.random.default_rng(12)
+    train, dev = copy_pairs(rng, 10), copy_pairs(rng, 4)
+    cfg = Seq2SeqTaskConfig(task="AMCT", batch_size=4, decoder_layers=1,
+                            warmup_steps=10, epochs=3, bleu_n=2, max_len=8,
+                            max_decode_len=5, dropout=0.1, seed=5,
+                            freeze_encoder=freeze_encoder)
+    return finetune_seq2seq(encoder, vocab, train, dev, cfg)
+
+
+def assert_history(got, want):
+    assert [row[0] for row in got] == [row[0] for row in want]
+    for (_, loss, score), (_, want_loss, want_score) in zip(got, want):
+        assert loss == pytest.approx(want_loss, rel=1e-5)
+        assert score == pytest.approx(want_score, rel=1e-5, abs=1e-9)
 
 
 class TestTaskConfig:
@@ -110,6 +147,15 @@ class TestClassifier:
                             marker_dataset(rng, 4), cfg)
         for name, data in before.items():
             assert np.array_equal(encoder.params[name].data, data)
+
+    def test_seeded_history_is_pinned(self, tiny_encoder):
+        encoder, vocab = tiny_encoder
+        rng = np.random.default_rng(11)
+        train, dev = marker_dataset(rng, 12), marker_dataset(rng, 8)
+        cfg = ClsTaskConfig(num_classes=2, batch_size=5, learning_rate=1e-3,
+                            epochs=3, dropout=0.1, max_len=8, seed=4)
+        _, history = finetune_classifier(encoder, vocab, train, dev, cfg)
+        assert_history(history, PINNED_CLS_HISTORY)
 
     def test_label_and_data_validation(self, tiny_encoder):
         encoder, vocab = tiny_encoder
@@ -175,6 +221,35 @@ class TestSeq2Seq:
         fresh = init_seq2seq_from_encoder(encoder, 1, init_seed=3)
         assert any(not np.array_equal(ckpt.params[n].data, fresh.params[n].data)
                    for n in dec_changed)
+
+    def test_seeded_history_is_pinned(self, tiny_encoder):
+        _, history = seeded_seq2seq_run(*tiny_encoder, freeze_encoder=False)
+        assert_history(history, PINNED_S2S_HISTORY)
+
+    def test_frozen_seeded_history_is_pinned(self, tiny_encoder):
+        _, history = seeded_seq2seq_run(*tiny_encoder, freeze_encoder=True)
+        assert_history(history, PINNED_S2S_FROZEN_HISTORY)
+
+    def test_frozen_encoder_never_carries_a_gradient(self, tiny_encoder, monkeypatch):
+        seen = []
+        real = optim.collect_grads
+
+        def spy(params):
+            grads = real(params)
+            seen.append(set(grads))
+            return grads
+
+        monkeypatch.setattr(optim, "collect_grads", spy)
+        monkeypatch.setattr(finetune, "collect_grads", spy, raising=False)
+        seeded_seq2seq_run(*tiny_encoder, freeze_encoder=True)
+        enc_names = set(parameter_spec(tiny_encoder[0].config))
+        assert len(seen) == 9  # 3 epochs of 3 batches
+        for names in seen:
+            assert names and not names & enc_names
+
+    def test_frozen_run_returns_a_fully_trainable_checkpoint(self, tiny_encoder):
+        ckpt, _ = seeded_seq2seq_run(*tiny_encoder, freeze_encoder=True)
+        assert all(p.requires_grad for p in ckpt.params.values())
 
     def test_overlong_examples_rejected(self, tiny_encoder):
         encoder, vocab = tiny_encoder

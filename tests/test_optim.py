@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from inkstone.optim import AdamState, adam_step, noam_lr
+from inkstone import tensor as T
+from inkstone.optim import AdamState, adam_step, noam_lr, train_step
 from inkstone.tensor import parameter
 
 
@@ -85,6 +86,22 @@ class TestAdam:
         p = parameter(np.zeros(3, dtype=np.float32))
         with pytest.raises(ValueError, match="unknown"):
             adam_step({"p": p}, {"q": np.zeros(3, dtype=np.float32)}, AdamState(), lr=0.1)
+
+
+class TestTrainStep:
+    def test_matches_backward_then_adam_step(self):
+        def loss_of(p):
+            return T.reduce_sum(T.mul(p, p))
+
+        a, b = parameter([1.0, -2.0]), parameter([1.0, -2.0])
+        state_a, state_b = AdamState(), AdamState()
+        value = train_step({"w": a}, loss_of(a), state_a, 0.1, weight_decay=0.01)
+        loss_b = loss_of(b)
+        T.backward(loss_b)
+        adam_step({"w": b}, {"w": b.grad}, state_b, lr=0.1, weight_decay=0.01)
+        assert value == float(loss_b.data) == 5.0
+        assert np.array_equal(a.data, b.data)
+        assert a.grad is None and state_a.t == 1
 
 
 class TestNoam:

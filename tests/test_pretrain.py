@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from inkstone import optim
 from inkstone import tensor as T
 from inkstone.errors import ConfigError
 from inkstone.model import ModelConfig, build_model, encoder_forward, ensure_mlm_head, mlm_head
 from inkstone.optim import AdamState, adam_step, collect_grads
+import inkstone.pretrain as pretrain_module
 from inkstone.pretrain import (
     MaskingConfig,
     PretrainConfig,
@@ -19,6 +21,12 @@ from inkstone.vocab import SPECIAL_TOKENS, encode, from_tokens
 
 CHARS = list("山水风花雪月街春江夜湖海")
 
+# Captured from the hand-written loop before train_step was factored out;
+# a change in RNG draw order or update arithmetic moves these.
+PINNED_LOSSES = [
+    2.736339, 2.822218, 2.798677, 2.817416, 2.836953, 2.741263, 2.791683, 2.81615,
+]
+
 
 @pytest.fixture
 def vocab():
@@ -30,6 +38,19 @@ def toy_model_cfg(vocab, **overrides):
                 ff_size=32, max_positions=12, num_segments=2, dropout_rate=0.0)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def seeded_run(vocab, out_dir, max_steps=8):
+    texts = ["山水风花雪月", "街春江夜湖海", "山街水春风江", "月夜湖花雪海"]
+    cfg = PretrainConfig(learning_rate=1e-3, batch_size=2, max_steps=max_steps,
+                         max_len=10, seed=3)
+    return pretrain(texts, vocab, toy_model_cfg(vocab, dropout_rate=0.1), cfg,
+                    out_dir=out_dir)
+
+
+def log_rows(out_dir):
+    lines = (out_dir / "train.log").read_text(encoding="utf-8").splitlines()
+    return [ln.split("\t") for ln in lines]
 
 
 def encode_batch(texts, vocab, max_len):
@@ -164,6 +185,35 @@ class TestPretrainLoop:
             losses.append([ln.split("\t")[:2] for ln in lines])
         assert losses[0] == losses[1]
         assert len(losses[0]) == 12
+
+    def test_seeded_losses_are_pinned(self, vocab, tmp_path):
+        seeded_run(vocab, tmp_path)
+        rows = log_rows(tmp_path)
+        assert [int(r[0]) for r in rows] == list(range(1, 9))
+        assert [float(r[1]) for r in rows] == pytest.approx(PINNED_LOSSES, rel=1e-5)
+
+    def test_log_keeps_steps_finished_before_a_crash(self, vocab, tmp_path, monkeypatch):
+        calls = []
+        real = optim.adam_step
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise RuntimeError("injected failure at step 3")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "adam_step", failing)
+        monkeypatch.setattr(pretrain_module, "adam_step", failing, raising=False)
+        with pytest.raises(RuntimeError, match="step 3"):
+            seeded_run(vocab, tmp_path)
+        rows = log_rows(tmp_path)
+        assert [r[0] for r in rows] == ["1", "2"]
+        assert all(len(r) == 4 for r in rows)
+
+    def test_rerun_truncates_the_log(self, vocab, tmp_path):
+        seeded_run(vocab, tmp_path, max_steps=4)
+        seeded_run(vocab, tmp_path, max_steps=2)
+        assert [r[0] for r in log_rows(tmp_path)] == ["1", "2"]
 
     def test_resume_continues_step_counter(self, vocab, tmp_path):
         texts = ["山水风花雪月", "街春江夜湖海"]
