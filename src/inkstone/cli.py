@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 
 def _write_manifest(location, command: str, argv, args: argparse.Namespace) -> None:
@@ -27,20 +27,6 @@ def _write_manifest(location, command: str, argv, args: argparse.Namespace) -> N
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(payload, f, sort_keys=True, ensure_ascii=False, indent=2)
         f.write("\n")
-
-
-def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    while lines and lines[-1] == "":
-        lines.pop()
-    return lines
-
-
-def _load_vocab(path):
-    from .vocab import load_vocab
-
-    return load_vocab(path)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +91,9 @@ def cmd_stats(args) -> int:
 def cmd_pretrain(args) -> int:
     from .model import ModelConfig, load_checkpoint
     from .pretrain import MaskingConfig, PretrainConfig, pretrain
+    from .vocab import load_vocab
 
-    vocab = _load_vocab(args.vocab)
+    vocab = load_vocab(args.vocab)
     init = load_checkpoint(args.init) if args.init else None
     if init is not None:
         model_cfg = init.config
@@ -136,8 +123,9 @@ def cmd_finetune(args) -> int:
     from .corpus import load_labeled_tsv, load_parallel_tsv
     from .finetune import run_task
     from .model import load_checkpoint, save_checkpoint
+    from .vocab import load_vocab
 
-    vocab = _load_vocab(args.vocab)
+    vocab = load_vocab(args.vocab)
     encoder = load_checkpoint(args.init)
     overrides = {}
     for key in ("epochs", "batch_size", "seed", "dropout", "max_len",
@@ -165,8 +153,9 @@ def cmd_finetune(args) -> int:
 def cmd_generate(args) -> int:
     from .decode import DecodeConfig, decode_file
     from .model import load_checkpoint
+    from .vocab import load_vocab
 
-    vocab = _load_vocab(args.vocab)
+    vocab = load_vocab(args.vocab)
     ckpt = load_checkpoint(args.checkpoint)
     cfg = DecodeConfig(strategy=args.strategy, beam_size=args.beam_size,
                        max_decode_len=args.max_decode_len,
@@ -177,14 +166,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_score(args) -> int:
+    from .corpus import read_lines
     from .evaluate import accuracy, bleu
     from .vocab import tokenize
 
     if args.metric == "bleu":
         if not args.candidates or not args.references:
             raise DataError("--metric bleu needs --candidates and --references")
-        cands = [tokenize(ln).tokens for ln in _read_lines(args.candidates)]
-        refs = [tokenize(ln).tokens for ln in _read_lines(args.references)]
+        cands = [tokenize(ln).tokens for ln in read_lines(args.candidates)]
+        refs = [tokenize(ln).tokens for ln in read_lines(args.references)]
         report = bleu(cands, refs, max_n=args.max_n)
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="\n") as f:
@@ -193,8 +183,8 @@ def cmd_score(args) -> int:
     else:
         if not args.predictions or not args.labels:
             raise DataError("--metric accuracy needs --predictions and --labels")
-        preds = [int(x) for x in _read_lines(args.predictions)]
-        labels = [int(x) for x in _read_lines(args.labels)]
+        preds = [int(x) for x in read_lines(args.predictions)]
+        labels = [int(x) for x in read_lines(args.labels)]
         value = accuracy(preds, labels)
         if args.output:
             payload = json.dumps({"accuracy": value}, sort_keys=True)
@@ -205,15 +195,16 @@ def cmd_score(args) -> int:
 
 
 def cmd_eval_sheets(args) -> int:
+    from .corpus import read_lines
     from .evaluate import EvalItem, make_eval_sheets
 
-    prompts = _read_lines(args.prompts)
+    prompts = read_lines(args.prompts)
     items = []
     for spec in args.outputs:
         name, _, path = spec.partition("=")
         if not path:
             raise DataError(f"--outputs needs NAME=PATH, got {spec!r}")
-        lines = _read_lines(path)
+        lines = read_lines(path)
         if len(lines) != len(prompts):
             raise DataError(
                 f"{path}: {len(lines)} outputs but {len(prompts)} prompts")

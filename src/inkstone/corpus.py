@@ -102,6 +102,15 @@ def strip_title(doc: RawDocument) -> str:
     return doc.body
 
 
+def read_lines(path) -> list[str]:
+    """Read a UTF-8 file as lines without newlines, dropping trailing blank lines."""
+    with open(path, encoding="utf-8") as f:
+        lines = [ln.rstrip("\n") for ln in f]
+    while lines and lines[-1] == "":
+        lines.pop()
+    return lines
+
+
 def load_documents(path, kind: str = "article") -> list[RawDocument]:
     """Read blank-line-separated documents with first-line titles."""
     with open(path, encoding="utf-8") as f:

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
+from .corpus import read_lines
 from .errors import ConfigError
 from .model import Checkpoint, decoder_forward, encoder_forward
 from .vocab import Vocab, decode as decode_ids, encode, tokenize
@@ -70,15 +71,15 @@ def beam_from_step(step_fn: StepFn, eos_id: int, max_len: int, beam_size: int,
     active: list[tuple[list[int], float]] = [([], 0.0)]
     finished: list[tuple[list[int], float]] = []
     for _ in range(max_len):
-        candidates: list[tuple[float, list[int], int]] = []
-        for tokens, score in active:
-            logprobs = step_fn(tokens)
-            for tok in range(len(logprobs)):
-                candidates.append((score + float(logprobs[tok]), tokens, tok))
-        # stable sort: equal scores fall back to hypothesis order, then token id
-        candidates.sort(key=lambda c: -c[0])
-        active = []
-        for score, tokens, tok in candidates[:beam_size]:
+        scores = np.stack([score + np.asarray(step_fn(tokens), dtype=np.float64)
+                           for tokens, score in active])
+        # stable sort of the flattened (hypothesis, token) grid: equal scores
+        # fall back to hypothesis order, then token id
+        best = np.argsort(-scores, axis=None, kind="stable")[:beam_size]
+        hyps, toks = np.unravel_index(best, scores.shape)
+        prev, active = active, []
+        for h, tok in zip(hyps.tolist(), toks.tolist()):
+            tokens, score = prev[h][0], float(scores[h, tok])
             if tok == eos_id:
                 finished.append((tokens, score))
             else:
@@ -92,45 +93,38 @@ def beam_from_step(step_fn: StepFn, eos_id: int, max_len: int, beam_size: int,
     return list(best_tokens), _normalized(best_score, len(best_tokens), alpha)
 
 
-def _model_step_fn(ckpt: Checkpoint, source_ids: np.ndarray,
-                   source_mask: np.ndarray, vocab: Vocab) -> StepFn:
+def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source,
+                   max_decode_len: int) -> tuple[StepFn, int]:
+    """Encode the source once; return the decoder step function and length cap."""
     if ckpt.config.decoder_layers < 1:
         raise ConfigError("decoding needs a seq2seq checkpoint (decoder_layers >= 1)")
+    if isinstance(source, str):
+        source = tokenize(source)
+    positions = ckpt.config.max_positions
+    source_ids, source_mask = encode(source, vocab, positions)
     with T.no_grad():
         enc = encoder_forward(ckpt, source_ids[None, :], source_mask[None, :])
     enc_hidden = T.Tensor(enc.hidden.data)
     suppress = [vocab.cls_id, vocab.pad_id]
     bos = vocab.cls_id
-    cap = ckpt.config.max_positions
 
     def step(prefix: Sequence[int]) -> np.ndarray:
-        ids = np.array([[bos] + list(prefix)], dtype=np.int64)[:, :cap]
+        ids = np.array([[bos] + list(prefix)], dtype=np.int64)[:, :positions]
         with T.no_grad():
             logits = decoder_forward(ckpt, ids, enc_hidden, source_mask[None, :])
-        row = logits.data[0, min(len(prefix), cap - 1)].astype(np.float64)
+        row = logits.data[0, min(len(prefix), positions - 1)].astype(np.float64)
         row = row - row.max()
         logprobs = row - np.log(np.exp(row).sum())
         logprobs[suppress] = -np.inf
         return logprobs
 
-    return step
-
-
-def _encode_source(ckpt: Checkpoint, vocab: Vocab, source) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(source, str):
-        source = tokenize(source)
-    if isinstance(source, np.ndarray):
-        ids = source.astype(np.int64)
-        return ids, (ids != vocab.pad_id).astype(np.int64)
-    return encode(source, vocab, ckpt.config.max_positions)
+    return step, min(max_decode_len, positions - 1)
 
 
 def greedy_decode(ckpt: Checkpoint, vocab: Vocab, source,
                   max_decode_len: int = 64) -> list[int]:
     """Greedy generation; returns body token ids without specials."""
-    ids, mask = _encode_source(ckpt, vocab, source)
-    step = _model_step_fn(ckpt, ids, mask, vocab)
-    cap = min(max_decode_len, ckpt.config.max_positions - 1)
+    step, cap = _model_step_fn(ckpt, vocab, source, max_decode_len)
     return greedy_from_step(step, vocab.sep_id, cap)
 
 
@@ -138,9 +132,7 @@ def beam_search(ckpt: Checkpoint, vocab: Vocab, source,
                 cfg: DecodeConfig) -> tuple[list[int], float]:
     """Beam generation; returns (body token ids, normalized score)."""
     cfg.validate()
-    ids, mask = _encode_source(ckpt, vocab, source)
-    step = _model_step_fn(ckpt, ids, mask, vocab)
-    cap = min(cfg.max_decode_len, ckpt.config.max_positions - 1)
+    step, cap = _model_step_fn(ckpt, vocab, source, cfg.max_decode_len)
     return beam_from_step(step, vocab.sep_id, cap, cfg.beam_size, cfg.length_penalty)
 
 
@@ -157,11 +149,7 @@ def generate_text(ckpt: Checkpoint, vocab: Vocab, source: str,
 def decode_file(ckpt: Checkpoint, vocab: Vocab, input_path, output_path,
                 cfg: DecodeConfig) -> int:
     """One generation per input line, order preserved; returns line count."""
-    with open(input_path, encoding="utf-8") as f:
-        lines = [ln.rstrip("\n") for ln in f]
-    while lines and lines[-1] == "":
-        lines.pop()
-    outputs = [generate_text(ckpt, vocab, ln, cfg) for ln in lines]
+    outputs = [generate_text(ckpt, vocab, ln, cfg) for ln in read_lines(input_path)]
     with open(output_path, "w", encoding="utf-8", newline="\n") as f:
         for out in outputs:
             f.write(out + "\n")

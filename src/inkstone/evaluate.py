@@ -76,7 +76,6 @@ def bleu(candidates: Sequence[Tokens], references: Sequence[Tokens],
     if cand_len == 0 or matches[0] == 0:
         return BleuReport(0.0, raw, matches, totals, bp, cand_len, ref_len,
                           len(candidates))
-    log_sum = 0.0
     effective = []
     for n in range(1, max_n + 1):
         m, t = matches[n - 1], totals[n - 1]
@@ -89,11 +88,7 @@ def bleu(candidates: Sequence[Tokens], references: Sequence[Tokens],
             p = m / t
         effective.append(p)
     used = [p for p in effective if p is not None]
-    if any(p == 0.0 for p in used):
-        score = 0.0
-    else:
-        log_sum = sum(math.log(p) for p in used) / len(used)
-        score = 100.0 * bp * math.exp(log_sum)
+    score = 100.0 * bp * math.exp(sum(math.log(p) for p in used) / len(used))
     return BleuReport(score, [p if p is not None else 0.0 for p in effective],
                       matches, totals, bp, cand_len, ref_len, len(candidates))
 

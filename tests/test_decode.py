@@ -138,6 +138,30 @@ class TestBeamStep:
         assert tokens == [1, 1, 1]
         assert score == pytest.approx(-1.5, abs=1e-12)
 
+    def test_ties_break_by_hypothesis_order_then_token_id(self):
+        table = {
+            (): [-9, -1, -1, -5],
+            (1,): [-9, -1, -3, -3],
+            (2,): [-9, -1, -3, -3],
+            (1, 1): [-0.5, -4, -4, -4],
+            (2, 1): [-0.5, -4, -4, -4],
+        }
+        # tokens 1 and 2 tie at step one; (1, 1) and (2, 1) tie at every
+        # later step and finish together, so only the tie order picks [1, 1]
+        tokens, score = beam_from_step(table_step(table, 4), 0, max_len=5,
+                                       beam_size=2)
+        assert (tokens, score) == ([1, 1], -2.5)
+        # the table above ties hypotheses at two steps, where a reversed
+        # hypothesis order would flip twice; here (1,) and (2,) tie once,
+        # finishing together, and the earlier hypothesis wins
+        table = {
+            (): [-9, -1, -2, -5],
+            (1,): [-1.5, -9, -9, -9],
+            (2,): [-0.5, -9, -9, -9],
+        }
+        assert beam_from_step(table_step(table, 4), 0, max_len=5,
+                              beam_size=2) == ([1], -2.5)
+
     def test_deterministic(self):
         step = random_step(np.random.default_rng(3), 5)
         first = beam_from_step(step, 0, max_len=4, beam_size=3)
