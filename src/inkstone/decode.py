@@ -1,11 +1,14 @@
 """Greedy and beam-search decoding for the seq2seq model.
 
-Both strategies are written against a step function mapping the tokens
-generated so far to a log-probability row, so tests can drive them with
-synthetic distributions. Model-backed decoding encodes the source once
-and re-runs the decoder prefix each step (quadratic but fine at desk
-scale). BOS and PAD logits are suppressed, so a hypothesis can never
-contain them; EOS terminates and is excluded from the returned body.
+Both strategies are written against a step function, so tests can drive
+them with synthetic distributions. A step function maps a list of
+equal-length prefixes (the tokens generated so far, one per live
+hypothesis) to a (len(prefixes), V) array of next-token log-probs; each
+search makes one call per step. Model-backed decoding encodes the source
+once and then decodes one new position per prefix, with the keys and
+values of earlier positions held in the decoder cache. BOS and PAD
+logits are suppressed, so a hypothesis can never contain them; EOS
+terminates and is excluded from the returned body.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ import numpy as np
 from . import tensor as T
 from .corpus import read_lines
 from .errors import ConfigError
-from .model import Checkpoint, decoder_forward, encoder_forward
+from .model import Checkpoint, decoder_forward, encoder_forward, select_cache_rows
 from .vocab import Vocab, decode as decode_ids, encode, tokenize
 
-StepFn = Callable[[Sequence[int]], np.ndarray]
+StepFn = Callable[[Sequence[Sequence[int]]], np.ndarray]
 
 
 @dataclass
@@ -47,12 +50,24 @@ def greedy_from_step(step_fn: StepFn, eos_id: int, max_len: int) -> list[int]:
     """Follow the argmax until EOS or the length cap; ties pick the lowest id."""
     out: list[int] = []
     for _ in range(max_len):
-        logprobs = step_fn(out)
+        logprobs = step_fn([out])[0]
         token = int(np.argmax(logprobs))
         if token == eos_id:
             break
         out.append(token)
     return out
+
+
+def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest entries, best first, ties in index order.
+
+    The same as np.argsort(-flat, kind="stable")[:k], but only the entries
+    at or above the k-th largest value are sorted.
+    """
+    k = min(k, flat.size)
+    cut = np.partition(flat, flat.size - k)[flat.size - k]
+    candidates = np.flatnonzero(flat >= cut)
+    return candidates[np.argsort(-flat[candidates], kind="stable")[:k]]
 
 
 def _normalized(score: float, length: int, alpha: float) -> float:
@@ -71,12 +86,9 @@ def beam_from_step(step_fn: StepFn, eos_id: int, max_len: int, beam_size: int,
     active: list[tuple[list[int], float]] = [([], 0.0)]
     finished: list[tuple[list[int], float]] = []
     for _ in range(max_len):
-        scores = np.stack([score + np.asarray(step_fn(tokens), dtype=np.float64)
-                           for tokens, score in active])
-        # stable sort of the flattened (hypothesis, token) grid: equal scores
-        # fall back to hypothesis order, then token id
-        best = np.argsort(-scores, axis=None, kind="stable")[:beam_size]
-        hyps, toks = np.unravel_index(best, scores.shape)
+        logprobs = np.asarray(step_fn([tokens for tokens, _ in active]), dtype=np.float64)
+        scores = np.array([score for _, score in active])[:, None] + logprobs
+        hyps, toks = np.unravel_index(_top_k(scores.ravel(), beam_size), scores.shape)
         prev, active = active, []
         for h, tok in zip(hyps.tolist(), toks.tolist()):
             tokens, score = prev[h][0], float(scores[h, tok])
@@ -95,27 +107,39 @@ def beam_from_step(step_fn: StepFn, eos_id: int, max_len: int, beam_size: int,
 
 def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source,
                    max_decode_len: int) -> tuple[StepFn, int]:
-    """Encode the source once; return the decoder step function and length cap."""
+    """Encode the source once; return the incremental step function and length cap.
+
+    Every prefix passed to the step function extends a prefix of the
+    previous call by one token (the first call's prefixes are empty). Its
+    cached keys and values are gathered from that parent's row, and only
+    its last token runs through the decoder.
+    """
     if ckpt.config.decoder_layers < 1:
         raise ConfigError("decoding needs a seq2seq checkpoint (decoder_layers >= 1)")
     if isinstance(source, str):
         source = tokenize(source)
     positions = ckpt.config.max_positions
-    source_ids, source_mask = encode(source, vocab, positions)
+    # [CLS] body [SEP] at its own length; encode needs room for one body token
+    source_ids, source_mask = encode(source, vocab, min(max(len(source), 1) + 2, positions))
     with T.no_grad():
-        enc = encoder_forward(ckpt, source_ids[None, :], source_mask[None, :])
-    enc_hidden = T.Tensor(enc.hidden.data)
+        enc_hidden = encoder_forward(ckpt, source_ids[None, :], source_mask[None, :]).hidden
     suppress = [vocab.cls_id, vocab.pad_id]
     bos = vocab.cls_id
+    cache: dict = {}
+    rows: dict[tuple, int] = {}
 
-    def step(prefix: Sequence[int]) -> np.ndarray:
-        ids = np.array([[bos] + list(prefix)], dtype=np.int64)[:, :positions]
+    def step(prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        nonlocal cache, rows
+        if rows:
+            cache = select_cache_rows(cache, [rows[tuple(p[:-1])] for p in prefixes])
+        ids = [[p[-1] if len(p) else bos] for p in prefixes]
         with T.no_grad():
-            logits = decoder_forward(ckpt, ids, enc_hidden, source_mask[None, :])
-        row = logits.data[0, min(len(prefix), positions - 1)].astype(np.float64)
-        row = row - row.max()
-        logprobs = row - np.log(np.exp(row).sum())
-        logprobs[suppress] = -np.inf
+            logits = decoder_forward(ckpt, ids, enc_hidden, source_mask[None, :], cache=cache)
+        rows = {tuple(p): i for i, p in enumerate(prefixes)}
+        scores = logits.data[:, -1].astype(np.float64)
+        scores -= scores.max(axis=1, keepdims=True)
+        logprobs = scores - np.log(np.exp(scores).sum(axis=1, keepdims=True))
+        logprobs[:, suppress] = -np.inf
         return logprobs
 
     return step, min(max_decode_len, positions - 1)

@@ -221,19 +221,31 @@ class EncoderOutput:
 
 
 def _multi_head_attention(p, prefix: str, q_in, kv_in, add_mask, num_heads: int,
-                          drop: float, rng) -> T.Tensor:
-    """Standard scaled dot-product attention over num_heads subspaces."""
+                          drop: float, rng, cache: dict | None = None) -> T.Tensor:
+    """Standard scaled dot-product attention over num_heads subspaces.
+
+    Keys and values keep kv_in's own batch, so a batch of one broadcasts
+    over the queries. With a cache, the keys and values of kv_in are
+    appended to cache[prefix]; kv_in None attends to cache[prefix] as is.
+    """
     batch, q_len, hidden = q_in.shape
-    kv_len = kv_in.shape[1]
     dh = hidden // num_heads
 
-    def heads(x, length):
-        x = T.reshape(x, (batch, length, num_heads, dh))
+    def heads(x):
+        x = T.reshape(x, (x.shape[0], x.shape[1], num_heads, dh))
         return T.transpose(x, (0, 2, 1, 3))
 
-    q = heads(T.add(T.matmul(q_in, p[f"{prefix}.wq"]), p[f"{prefix}.bq"]), q_len)
-    k = heads(T.add(T.matmul(kv_in, p[f"{prefix}.wk"]), p[f"{prefix}.bk"]), kv_len)
-    v = heads(T.add(T.matmul(kv_in, p[f"{prefix}.wv"]), p[f"{prefix}.bv"]), kv_len)
+    q = heads(T.add(T.matmul(q_in, p[f"{prefix}.wq"]), p[f"{prefix}.bq"]))
+    if kv_in is None:
+        k, v = (T.Tensor(a) for a in cache[prefix])
+    else:
+        k = heads(T.add(T.matmul(kv_in, p[f"{prefix}.wk"]), p[f"{prefix}.bk"]))
+        v = heads(T.add(T.matmul(kv_in, p[f"{prefix}.wv"]), p[f"{prefix}.bv"]))
+        if cache is not None:
+            if prefix in cache:
+                k, v = (T.Tensor(np.concatenate([old, new.data], axis=2))
+                        for old, new in zip(cache[prefix], (k, v)))
+            cache[prefix] = (k.data, v.data)
 
     scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
     if add_mask is not None:
@@ -315,35 +327,63 @@ def encoder_forward(ckpt: Checkpoint, ids, attention_mask=None, segment_ids=None
 
 
 def decoder_forward(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
-                    train: bool = False, rng=None) -> T.Tensor:
-    """Causal self-attention plus cross-attention; returns (B, T, V) logits."""
+                    train: bool = False, rng=None, cache: dict | None = None) -> T.Tensor:
+    """Causal self-attention plus cross-attention; returns (B, T, V) logits.
+
+    cache, for inference only, decodes incrementally: pass an empty dict
+    on the first call and the same dict after that. target_ids then holds
+    only the new positions, whose position ids and causal mask start at
+    the cached length. Their self-attention keys and values are appended
+    to the cache; the cross-attention ones are projected from
+    encoder_hidden on the first call and reused after that. The cache's
+    rows are target_ids' rows (see select_cache_rows); an encoder_hidden
+    of batch 1 serves them all.
+    """
     cfg = ckpt.config
     if cfg.decoder_layers < 1:
         raise ConfigError("checkpoint has no decoder (decoder_layers is 0)")
+    if cache is not None and train:
+        raise ValueError("the decoder cache is for inference only")
     p = ckpt.params
     ids = _prep_ids(cfg, target_ids)
     batch, t_len = ids.shape
+    past = cache["dec.0.self_attn"][0].shape[2] if cache else 0
+    if past + t_len > cfg.max_positions:
+        raise ValueError(f"{past} cached plus {t_len} new positions exceed "
+                         f"max_positions {cfg.max_positions}")
     source_mask = np.asarray(source_mask, dtype=np.int64)
     if source_mask.ndim == 1:
         source_mask = source_mask[None, :]
     drop = _check_train_args(cfg, train, rng)
 
     h = T.add(T.embedding(p["dec.emb.token"], ids),
-              T.embedding(p["dec.emb.pos"], np.arange(t_len)))
+              T.embedding(p["dec.emb.pos"], np.arange(past, past + t_len)))
     if drop > 0.0:
         h = T.dropout(h, drop, rng)
 
-    causal = np.triu(np.full((t_len, t_len), NEG_INF, dtype=np.float32), k=1)[None, None]
+    causal = np.triu(np.full((t_len, past + t_len), NEG_INF, dtype=np.float32),
+                     k=past + 1)[None, None]
     cross = ((1 - source_mask) * NEG_INF).astype(np.float32)[:, None, None, :]
+    cross_in = None if past else encoder_hidden
     for i in range(cfg.decoder_layers):
         self_attn = _multi_head_attention(p, f"dec.{i}.self_attn", h, h, causal,
-                                          cfg.num_heads, drop, rng)
+                                          cfg.num_heads, drop, rng, cache)
         h = _residual_ln(p, f"dec.{i}.self_ln", h, self_attn)
-        cross_attn = _multi_head_attention(p, f"dec.{i}.cross_attn", h, encoder_hidden,
-                                           cross, cfg.num_heads, drop, rng)
+        cross_attn = _multi_head_attention(p, f"dec.{i}.cross_attn", h, cross_in,
+                                           cross, cfg.num_heads, drop, rng, cache)
         h = _residual_ln(p, f"dec.{i}.cross_ln", h, cross_attn)
         h = _residual_ln(p, f"dec.{i}.ffn_ln", h, _ffn(p, f"dec.{i}.ffn", h, drop, rng))
     return T.add(T.matmul(h, p["dec.out.w"]), p["dec.out.b"])
+
+
+def select_cache_rows(cache: dict, rows) -> dict:
+    """A decoder cache holding the given rows of cache, in that order.
+
+    Self-attention keys and values are gathered row by row; the
+    cross-attention ones are shared, as their encoder row broadcasts.
+    """
+    return {name: kv if name.endswith("cross_attn") else (kv[0][rows], kv[1][rows])
+            for name, kv in cache.items()}
 
 
 def mlm_head(ckpt: Checkpoint, hidden: T.Tensor) -> T.Tensor:

@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from _steps import batched
 from inkstone import tensor as T
 from inkstone.corpus import ParallelExample
 from inkstone.decode import beam_from_step, greedy_from_step
@@ -403,15 +404,15 @@ def test_08_beam_search_is_exact_when_exhaustive():
     for _ in range(100):
         step = _cached_random_step(rng, vocab_size)
         want_tokens, want_score = _enumerate_best(step, 0, max_len, vocab_size)
-        got_tokens, got_score = beam_from_step(step, 0, max_len,
+        got_tokens, got_score = beam_from_step(batched(step), 0, max_len,
                                                vocab_size ** max_len)
         if got_tokens != want_tokens or abs(got_score - want_score) > 1e-12:
             enum_fail += 1
     rng2 = np.random.default_rng(11)
     for _ in range(100):
         step = _cached_random_step(rng2, 4)
-        if (beam_from_step(step, 0, 5, 1)[0]
-                != greedy_from_step(step, 0, 5)):
+        if (beam_from_step(batched(step), 0, 5, 1)[0]
+                != greedy_from_step(batched(step), 0, 5)):
             greedy_fail += 1
     ok = enum_fail == 0 and greedy_fail == 0
     _report(8, "exhaustive beam equals enumeration; beam 1 equals greedy", ok,

@@ -3,8 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from _steps import batched
+from inkstone import tensor as T
 from inkstone.decode import (
     DecodeConfig,
+    _model_step_fn,
+    _top_k,
     beam_from_step,
     beam_search,
     decode_file,
@@ -13,8 +17,8 @@ from inkstone.decode import (
     greedy_from_step,
 )
 from inkstone.errors import ConfigError
-from inkstone.model import ModelConfig, build_model
-from inkstone.vocab import SPECIAL_TOKENS, build_vocab
+from inkstone.model import ModelConfig, build_model, decoder_forward, encoder_forward
+from inkstone.vocab import SPECIAL_TOKENS, build_vocab, encode, tokenize
 
 
 def table_step(table, vocab_size):
@@ -67,23 +71,23 @@ class TestGreedyStep:
             (1,): [0.1, 0.2, 0.7],
             (1, 2): [0.9, 0.05, 0.05],
         }
-        assert greedy_from_step(table_step(table, 3), eos_id=0, max_len=10) == [1, 2]
+        assert greedy_from_step(batched(table_step(table, 3)), eos_id=0, max_len=10) == [1, 2]
 
     def test_tie_breaks_to_lowest_id(self):
         table = {(): [0.5, 0.5, 0.5]}
         # argmax tie: ids 0..2 all equal, and 0 is EOS here
-        assert greedy_from_step(table_step(table, 3), eos_id=0, max_len=4) == []
+        assert greedy_from_step(batched(table_step(table, 3)), eos_id=0, max_len=4) == []
         table = {(): [0.1, 0.5, 0.5], (1,): [0.9, 0.0, 0.0]}
-        assert greedy_from_step(table_step(table, 3), eos_id=0, max_len=4) == [1]
+        assert greedy_from_step(batched(table_step(table, 3)), eos_id=0, max_len=4) == [1]
 
     def test_length_cap(self):
         # EOS never preferred: body fills the cap exactly
         step = lambda prefix: np.array([-9.0, -0.1, -5.0])
-        assert greedy_from_step(step, eos_id=0, max_len=3) == [1, 1, 1]
+        assert greedy_from_step(batched(step), eos_id=0, max_len=3) == [1, 1, 1]
 
     def test_immediate_eos_gives_empty_body(self):
         step = lambda prefix: np.array([0.0, -1.0, -1.0])
-        assert greedy_from_step(step, eos_id=0, max_len=5) == []
+        assert greedy_from_step(batched(step), eos_id=0, max_len=5) == []
 
 
 class TestBeamStep:
@@ -91,8 +95,8 @@ class TestBeamStep:
         rng = np.random.default_rng(11)
         for _ in range(100):
             step = random_step(rng, 4)
-            greedy = greedy_from_step(step, eos_id=0, max_len=5)
-            tokens, _ = beam_from_step(step, eos_id=0, max_len=5, beam_size=1)
+            greedy = greedy_from_step(batched(step), eos_id=0, max_len=5)
+            tokens, _ = beam_from_step(batched(step), eos_id=0, max_len=5, beam_size=1)
             assert tokens == greedy
 
     def test_exhaustive_beam_matches_enumeration(self):
@@ -102,7 +106,7 @@ class TestBeamStep:
         for _ in range(100):
             step = random_step(rng, vocab_size)
             want_tokens, want_score = enumerate_best(step, 0, max_len, vocab_size)
-            got_tokens, got_score = beam_from_step(step, 0, max_len, width)
+            got_tokens, got_score = beam_from_step(batched(step), 0, max_len, width)
             assert got_tokens == want_tokens
             assert got_score == pytest.approx(want_score, abs=1e-12)
 
@@ -114,7 +118,7 @@ class TestBeamStep:
             step = random_step(rng, vocab_size)
             want_tokens, want_score = enumerate_best(step, 0, max_len, vocab_size,
                                                      alpha=alpha)
-            got_tokens, got_score = beam_from_step(step, 0, max_len, width,
+            got_tokens, got_score = beam_from_step(batched(step), 0, max_len, width,
                                                    alpha=alpha)
             assert got_tokens == want_tokens
             assert got_score == pytest.approx(want_score, abs=1e-12)
@@ -127,14 +131,14 @@ class TestBeamStep:
             (1,): [math.log(0.98), math.log(0.01), math.log(0.01)],
             (2,): [math.log(0.01), math.log(0.01), math.log(0.98)],
         }
-        tokens, score = beam_from_step(table_step(table, 3), 0, max_len=2,
+        tokens, score = beam_from_step(batched(table_step(table, 3)), 0, max_len=2,
                                        beam_size=3)
         assert tokens == [1]
         assert score == pytest.approx(math.log(0.59) + math.log(0.98), abs=1e-12)
 
     def test_unfinished_returned_when_nothing_terminates(self):
         step = lambda prefix: np.array([-50.0, -0.5, -1.0])
-        tokens, score = beam_from_step(step, 0, max_len=3, beam_size=2)
+        tokens, score = beam_from_step(batched(step), 0, max_len=3, beam_size=2)
         assert tokens == [1, 1, 1]
         assert score == pytest.approx(-1.5, abs=1e-12)
 
@@ -148,7 +152,7 @@ class TestBeamStep:
         }
         # tokens 1 and 2 tie at step one; (1, 1) and (2, 1) tie at every
         # later step and finish together, so only the tie order picks [1, 1]
-        tokens, score = beam_from_step(table_step(table, 4), 0, max_len=5,
+        tokens, score = beam_from_step(batched(table_step(table, 4)), 0, max_len=5,
                                        beam_size=2)
         assert (tokens, score) == ([1, 1], -2.5)
         # the table above ties hypotheses at two steps, where a reversed
@@ -159,14 +163,36 @@ class TestBeamStep:
             (1,): [-1.5, -9, -9, -9],
             (2,): [-0.5, -9, -9, -9],
         }
-        assert beam_from_step(table_step(table, 4), 0, max_len=5,
+        assert beam_from_step(batched(table_step(table, 4)), 0, max_len=5,
                               beam_size=2) == ([1], -2.5)
 
     def test_deterministic(self):
         step = random_step(np.random.default_rng(3), 5)
-        first = beam_from_step(step, 0, max_len=4, beam_size=3)
-        again = beam_from_step(step, 0, max_len=4, beam_size=3)
+        first = beam_from_step(batched(step), 0, max_len=4, beam_size=3)
+        again = beam_from_step(batched(step), 0, max_len=4, beam_size=3)
         assert first == again
+
+
+class TestTopK:
+    def test_ties_straddling_the_cut_keep_index_order(self):
+        flat = np.array([1.0, 3.0, 2.0, 3.0, 2.0, 2.0])
+        assert _top_k(flat, 3).tolist() == [1, 3, 2]
+        assert _top_k(flat, 4).tolist() == [1, 3, 2, 4]
+
+    def test_suppressed_entries_and_k_beyond_the_grid(self):
+        flat = np.array([-np.inf, 0.5, -np.inf, 0.5])
+        assert _top_k(flat, 3).tolist() == [1, 3, 0]
+        assert _top_k(flat, 27).tolist() == [1, 3, 0, 2]
+
+    def test_matches_full_stable_sort(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            # few distinct values, so ties at the cut are common
+            flat = rng.integers(-3, 3, size=int(rng.integers(1, 40))).astype(np.float64)
+            flat[rng.random(flat.size) < 0.2] = -np.inf
+            for k in (1, 2, 4, flat.size, flat.size + 5):
+                want = np.argsort(-flat, kind="stable")[:k]
+                assert _top_k(flat, k).tolist() == want.tolist()
 
 
 class TestConfig:
@@ -243,3 +269,51 @@ class TestModelDecode:
         assert n == 3
         got = out.read_text(encoding="utf-8").splitlines()
         assert got == [generate_text(ckpt, vocab, ln, cfg) for ln in lines]
+
+
+def teacher_forced_rows(ckpt, vocab, source, prefixes):
+    """Log-prob rows of one uncached decoder pass per prefix, source padded to max_positions."""
+    ids, mask = encode(tokenize(source), vocab, ckpt.config.max_positions)
+    rows = []
+    with T.no_grad():
+        hidden = encoder_forward(ckpt, ids[None], mask[None]).hidden
+        for prefix in prefixes:
+            logits = decoder_forward(ckpt, [[vocab.cls_id] + list(prefix)], hidden, mask[None])
+            row = logits.data[0, -1].astype(np.float64)
+            row -= row.max()
+            row -= np.log(np.exp(row).sum())
+            row[[vocab.cls_id, vocab.pad_id]] = -np.inf
+            rows.append(row)
+    return np.stack(rows)
+
+
+class TestIncrementalStep:
+    """Cached, batched step rows against full teacher-forced decoder passes."""
+
+    @pytest.mark.parametrize("source", ["一丁丂", "", "一丁丂七丄丅丆万丈三上下一丁"])
+    def test_greedy_steps_to_the_position_cap(self, tiny_seq2seq, source):
+        ckpt, vocab = tiny_seq2seq
+        step, cap = _model_step_fn(ckpt, vocab, source, 64)
+        assert cap == ckpt.config.max_positions - 1
+        body = sorted(set(range(len(vocab))) - vocab.special_ids)
+        tokens = np.random.default_rng(2).choice(body, size=cap).tolist()
+        for n in range(cap):
+            prefix = tokens[:n]
+            np.testing.assert_allclose(step([prefix]),
+                                       teacher_forced_rows(ckpt, vocab, source, [prefix]),
+                                       rtol=0, atol=1e-5)
+
+    def test_beam_steps_reorder_and_drop_rows(self, tiny_seq2seq):
+        ckpt, vocab = tiny_seq2seq
+        step, _ = _model_step_fn(ckpt, vocab, "七丅", 64)
+        a, b, c, d, e = (vocab.id_of(ch) for ch in "一丁丂七丄")
+        steps = [
+            [[]],
+            [[a], [b]],
+            [[b, c], [a, d], [a, e]],  # parents out of order: rows [1, 0, 0]
+            [[b, c, a], [a, e, d]],    # [a, d] is dropped
+        ]
+        for prefixes in steps:
+            np.testing.assert_allclose(step(prefixes),
+                                       teacher_forced_rows(ckpt, vocab, "七丅", prefixes),
+                                       rtol=0, atol=1e-5)

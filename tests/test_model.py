@@ -169,6 +169,23 @@ class TestDecoderForward:
         long = decoder_forward(seq_ckpt, np.array([[5, 6, 0, 0]]), enc.hidden, mask).data
         assert np.array_equal(long[0, :2], short[0])
 
+    def test_cached_chunks_match_one_pass(self, seq_ckpt):
+        rng = np.random.default_rng(3)
+        src_ids = rng.integers(0, 20, size=(2, 6))
+        src_mask = np.array([[1, 1, 1, 0, 0, 0], [1, 1, 1, 1, 1, 1]])
+        tgt = rng.integers(0, 20, size=(2, 10))
+        enc = encoder_forward(seq_ckpt, src_ids, src_mask)
+        full = decoder_forward(seq_ckpt, tgt, enc.hidden, src_mask).data
+        cache = {}
+        # chunks of several new positions check the offset causal mask
+        chunks = [decoder_forward(seq_ckpt, tgt[:, a:b], enc.hidden, src_mask, cache=cache).data
+                  for a, b in ((0, 3), (3, 4), (4, 10))]
+        np.testing.assert_allclose(np.concatenate(chunks, axis=1), full, rtol=0, atol=1e-5)
+        with pytest.raises(ValueError, match="max_positions"):
+            decoder_forward(seq_ckpt, tgt[:, :1], enc.hidden, src_mask, cache=cache)
+        with pytest.raises(ValueError, match="inference only"):
+            decoder_forward(seq_ckpt, tgt, enc.hidden, src_mask, train=True, cache={})
+
     def test_encoder_only_checkpoint_rejected(self, enc_ckpt):
         enc = encoder_forward(enc_ckpt, np.array([[2, 3]]))
         with pytest.raises(ConfigError, match="no decoder"):
