@@ -34,15 +34,13 @@ def _write_manifest(location, command: str, argv, args: argparse.Namespace) -> N
 
 
 def cmd_preprocess(args) -> int:
-    from .corpus import clean_text, load_documents, load_t2s_table, strip_title, to_simplified
+    from .corpus import (clean_text, load_t2s_table, parse_document, read_blocks,
+                         strip_title, to_simplified)
 
     table = load_t2s_table(args.t2s) if args.t2s else None
+    blocks = read_blocks(args.input)
     if args.strip_titles:
-        docs = load_documents(args.input, kind=args.kind)
-        blocks = [strip_title(d) for d in docs]
-    else:
-        with open(args.input, encoding="utf-8") as f:
-            blocks = [b for b in f.read().split("\n\n") if b.strip()]
+        blocks = [strip_title(parse_document(b, args.kind)) for b in blocks]
     cleaned = []
     for block in blocks:
         text = clean_text(block, blacklist=args.blacklist)
@@ -89,6 +87,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    from .corpus import read_blocks
     from .model import ModelConfig, load_checkpoint
     from .pretrain import MaskingConfig, PretrainConfig, pretrain
     from .vocab import load_vocab
@@ -96,7 +95,8 @@ def cmd_pretrain(args) -> int:
     vocab = load_vocab(args.vocab)
     init = load_checkpoint(args.init) if args.init else None
     if init is not None:
-        model_cfg = init.config
+        # the shape comes from the checkpoint, dropout from the command line
+        model_cfg = ModelConfig(**{**init.config.to_dict(), "dropout_rate": args.dropout})
     else:
         model_cfg = ModelConfig(
             vocab_size=len(vocab), num_layers=args.layers,
@@ -110,8 +110,7 @@ def cmd_pretrain(args) -> int:
         checkpoint_every=args.checkpoint_every,
         masking=MaskingConfig(select_prob=args.select_prob),
     )
-    with open(args.corpus, encoding="utf-8") as f:
-        texts = [b for b in f.read().split("\n\n") if b.strip()]
+    texts = read_blocks(args.corpus)
     out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = pretrain(texts, vocab, model_cfg, cfg, init=init, out_dir=out_dir)

@@ -111,15 +111,16 @@ def read_lines(path) -> list[str]:
     return lines
 
 
-def load_documents(path, kind: str = "article") -> list[RawDocument]:
-    """Read blank-line-separated documents with first-line titles."""
+def read_blocks(path) -> list[str]:
+    """Non-blank blocks of a UTF-8 file, split at empty or whitespace-only lines."""
     with open(path, encoding="utf-8") as f:
         text = f.read()
-    docs = []
-    for block in re.split(r"\n\s*\n", text):
-        if block.strip():
-            docs.append(parse_document(block.strip("\n"), kind))
-    return docs
+    return [b.strip("\n") for b in re.split(r"\n\s*\n", text) if b.strip()]
+
+
+def load_documents(path, kind: str = "article") -> list[RawDocument]:
+    """Read blank-line-separated documents with first-line titles."""
+    return [parse_document(block, kind) for block in read_blocks(path)]
 
 
 def _join_lines(lines: Sequence[str]) -> str:

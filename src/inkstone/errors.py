@@ -28,3 +28,7 @@ class CheckpointError(DataError):
 
 class SheetError(DataError):
     """Malformed evaluation sheet or key file."""
+
+
+class NonFiniteLossError(DataError):
+    """A training loss came out NaN or infinite."""

@@ -6,17 +6,19 @@ parameter inventory then matches the documented closed-form count
 exactly. The pooled vector is simply the first position's hidden state.
 
 Checkpoints are a single binary file: magic "ANCH", a u32 version, a
-length-prefixed JSON config block, then one record per tensor
-(length-prefixed name, rank, dims as u64 LE, raw little-endian float32).
+length-prefixed JSON header (config, step), then one record per weight
+tensor (length-prefixed name, rank, dims as u64 LE, raw little-endian
+float32). Older files' optimizer records, named "opt/...", are skipped.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import struct
-from dataclasses import asdict, dataclass, field
-from typing import Iterable
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -77,11 +79,10 @@ class Checkpoint:
     config: ModelConfig
     params: dict[str, T.Tensor]
     step: int = 0
-    opt_state: "object | None" = None  # optim.AdamState when saved with one
 
     def copy(self) -> "Checkpoint":
         params = {k: T.parameter(v.data.copy()) for k, v in self.params.items()}
-        return Checkpoint(ModelConfig(**self.config.to_dict()), params, self.step, None)
+        return Checkpoint(ModelConfig(**self.config.to_dict()), params, self.step)
 
 
 def _attention_block(spec: dict, prefix: str, hidden: int) -> None:
@@ -436,23 +437,21 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    opt = ckpt.opt_state
-    header = {
-        "config": ckpt.config.to_dict(),
-        "step": ckpt.step,
-        "opt_t": None if opt is None else opt.t,
-    }
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        _write_block(f, json.dumps(header, sort_keys=True).encode("utf-8"))
-        for name in sorted(ckpt.params):
-            _write_tensor(f, name, ckpt.params[name].data)
-        if opt is not None:
-            for name in sorted(opt.m):
-                _write_tensor(f, f"opt/m/{name}", opt.m[name])
-            for name in sorted(opt.v):
-                _write_tensor(f, f"opt/v/{name}", opt.v[name])
+    """Write via <name>.tmp and rename it, so a failed save leaves path as it was."""
+    path = Path(path)
+    header = {"config": ckpt.config.to_dict(), "step": ckpt.step}
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<I", FORMAT_VERSION))
+            _write_block(f, json.dumps(header, sort_keys=True).encode("utf-8"))
+            for name in sorted(ckpt.params):
+                _write_tensor(f, name, ckpt.params[name].data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(f, n: int, what: str) -> bytes:
@@ -481,7 +480,6 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(_read_exact(f, header_len, "header").decode("utf-8"))
         cfg = ModelConfig.from_dict(header["config"])
         step = int(header["step"])
-        opt_t = header.get("opt_t")
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {e}") from None
 
@@ -499,8 +497,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"duplicate tensor {name}")
         arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
 
-    opt_m = {k[len("opt/m/"):]: v for k, v in arrays.items() if k.startswith("opt/m/")}
-    opt_v = {k[len("opt/v/"):]: v for k, v in arrays.items() if k.startswith("opt/v/")}
+    # older files' optimizer records were checked above like the rest; drop them
     weights = {k: v for k, v in arrays.items() if not k.startswith("opt/")}
 
     required = parameter_spec(cfg)
@@ -523,14 +520,4 @@ def load_checkpoint(path) -> Checkpoint:
             )
 
     params = {name: T.parameter(arr) for name, arr in weights.items()}
-    ckpt = Checkpoint(config=cfg, params=params, step=step)
-    if opt_m or opt_v or opt_t is not None:
-        if opt_t is None or set(opt_m) != set(opt_v):
-            raise CheckpointError("incomplete optimizer state in checkpoint")
-        for name, arr in list(opt_m.items()) + list(opt_v.items()):
-            if name not in params or arr.shape != params[name].data.shape:
-                raise CheckpointError(f"optimizer state mismatch for {name}")
-        from .optim import AdamState
-
-        ckpt.opt_state = AdamState(t=int(opt_t), m=opt_m, v=opt_v)
-    return ckpt
+    return Checkpoint(config=cfg, params=params, step=step)

@@ -3,11 +3,13 @@ the one training step every trainer takes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
+from .errors import NonFiniteLossError
 from .tensor import Tensor
 
 
@@ -70,10 +72,13 @@ def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 
 def train_step(params: dict[str, Tensor], loss: Tensor, state: AdamState,
                lr: float, **adam) -> float:
-    """Backpropagate loss, apply one Adam update, and return the loss value."""
+    """Backpropagate, apply one Adam update, return the loss; a non-finite loss raises first."""
+    value = float(loss.data)
+    if not math.isfinite(value):
+        raise NonFiniteLossError(f"loss is {value}; no update was applied")
     T.backward(loss)
     adam_step(params, collect_grads(params), state, lr=lr, **adam)
-    return float(loss.data)
+    return value
 
 
 def noam_lr(step: int, warmup_steps: int, d_model: int) -> float:

@@ -156,8 +156,8 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
              out_dir=None) -> Checkpoint:
     """Run MLM training and return the final checkpoint.
 
-    When init is given its weights continue training (the step counter
-    resumes from init.step); its encoder architecture must equal model_cfg.
+    When init is given its weights and step count continue, with a fresh
+    optimizer; its encoder architecture must equal model_cfg.
     Writes train.log plus periodic/final checkpoints under out_dir if set.
     """
     cfg.validate()
@@ -179,7 +179,7 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
     pool_ids, pool_masks = chunk_corpus(corpus, vocab, min(cfg.max_len, model_cfg.max_positions))
     n_chunks = pool_ids.shape[0]
 
-    state = ckpt.opt_state if isinstance(ckpt.opt_state, AdamState) else AdamState()
+    state = AdamState()
     if out_dir is not None:
         import pathlib
 
@@ -220,10 +220,8 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
                 print(f"{step}\t{loss_value:.6f}\t{cfg.learning_rate:.8g}\t{elapsed_ms}",
                       file=log, flush=True)
             if cfg.checkpoint_every and step % cfg.checkpoint_every == 0 and out_dir is not None:
-                ckpt.opt_state = state
                 save_checkpoint(ckpt, out_dir / f"step_{step}.ckpt")
 
-    ckpt.opt_state = state
     if out_dir is not None:
         save_checkpoint(ckpt, out_dir / "final.ckpt")
     return ckpt

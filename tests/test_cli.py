@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from inkstone import tensor as T
 from inkstone.cli import main
+from inkstone.model import load_checkpoint
 
 HANZI = [chr(c) for c in range(0x4E00, 0x4E00 + 12)]
 
@@ -206,3 +208,62 @@ class TestManifest:
         monkeypatch.chdir(d)
         assert main(["stats", "--input", f"article={workspace['raw']}"]) == 0
         assert not (d / "run_manifest.json").exists()
+
+
+def tiny_pretrain_argv(corpus, vocab, output, *extra):
+    return ["pretrain", "--corpus", corpus, "--vocab", vocab, "--output", str(output),
+            "--layers", "1", "--hidden", "16", "--heads", "2", "--ff", "32",
+            "--max-positions", "16", "--batch-size", "4", "--max-len", "12",
+            "--lr", "1e-3", *extra]
+
+
+class TestPretrainCommand:
+    @pytest.fixture()
+    def corpus(self, workspace):
+        d = workspace["dir"]
+        vocab = str(d / "vocab.txt")
+        assert main(["build-vocab", "--input", workspace["raw"], "--output", vocab]) == 0
+        return workspace["raw"], vocab
+
+    def test_init_honours_dropout(self, workspace, corpus):
+        d = workspace["dir"]
+        assert main(tiny_pretrain_argv(*corpus, d / "a", "--max-steps", "2")) == 0
+        assert load_checkpoint(d / "a" / "final.ckpt").config.dropout_rate == 0.1
+        assert main(tiny_pretrain_argv(*corpus, d / "b", "--max-steps", "2", "--dropout", "0",
+                                       "--init", str(d / "a" / "final.ckpt"))) == 0
+        resumed = load_checkpoint(d / "b" / "final.ckpt")
+        assert resumed.config.dropout_rate == 0.0
+        assert resumed.step == 4
+
+    def test_non_finite_loss_exits_2_after_the_last_good_step(self, workspace, corpus,
+                                                              monkeypatch, capsys):
+        d = workspace["dir"]
+        calls = []
+        real = T.cross_entropy_masked
+
+        def nan_at_step_3(*args):
+            calls.append(1)
+            loss = real(*args)
+            return T.scale(loss, float("nan")) if len(calls) == 3 else loss
+
+        monkeypatch.setattr(T, "cross_entropy_masked", nan_at_step_3)
+        out = d / "pre"
+        assert main(tiny_pretrain_argv(*corpus, out, "--max-steps", "5",
+                                       "--checkpoint-every", "1")) == 2
+        assert "loss is nan" in capsys.readouterr().err
+        steps = [ln.split("\t")[0] for ln in
+                 (out / "train.log").read_text(encoding="utf-8").splitlines()]
+        assert steps == ["1", "2"]
+        assert sorted(p.name for p in out.glob("*.ckpt")) == ["step_1.ckpt", "step_2.ckpt"]
+        assert not (out / "run_manifest.json").exists()
+
+
+class TestPreprocessCommand:
+    @pytest.mark.parametrize("strip_titles", [False, True])
+    def test_whitespace_only_line_separates_documents(self, tmp_path, strip_titles):
+        raw = write(tmp_path / "raw.txt", "题一\n山水风\n  \n题二\n花雪月\n")
+        clean = tmp_path / "clean.txt"
+        argv = ["preprocess", "--input", raw, "--output", str(clean)]
+        assert main(argv + ["--strip-titles"] * strip_titles) == 0
+        docs = clean.read_text(encoding="utf-8").rstrip("\n").split("\n\n")
+        assert len(docs) == 2

@@ -1,9 +1,13 @@
 """Model construction, forward pass, and checkpoint tests."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from _reference import ref_decoder_logits, ref_encoder_hidden
+from inkstone import model
 from inkstone import tensor as T
 from inkstone.errors import CheckpointError, ConfigError
 from inkstone.model import (
@@ -30,6 +34,28 @@ def toy_config(**overrides) -> ModelConfig:
                 ff_size=32, max_positions=10, num_segments=2, dropout_rate=0.0)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def legacy_checkpoint_parts(ckpt):
+    """The bytes of a version-1 file as older versions wrote it.
+
+    Returns (weights, optimizer): the magic, version, header with "opt_t"
+    and weight records, then one opt/m/* and one opt/v/* record per weight.
+    """
+    def record(name, arr):
+        arr = np.ascontiguousarray(arr, dtype="<f4")
+        raw = name.encode("utf-8")
+        dims = b"".join(struct.pack("<Q", d) for d in arr.shape)
+        return (struct.pack("<Q", len(raw)) + raw + struct.pack("<Q", arr.ndim)
+                + dims + arr.tobytes())
+
+    header = json.dumps({"config": ckpt.config.to_dict(), "step": ckpt.step,
+                         "opt_t": 7}, sort_keys=True).encode("utf-8")
+    weights = b"ANCH" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header
+    weights += b"".join(record(n, ckpt.params[n].data) for n in sorted(ckpt.params))
+    optimizer = b"".join(record(f"opt/{kind}/{n}", ckpt.params[n].data * 0.5)
+                         for kind in ("m", "v") for n in sorted(ckpt.params))
+    return weights, optimizer
 
 
 @pytest.fixture
@@ -316,6 +342,58 @@ class TestCheckpointIO:
         save_checkpoint(enc_ckpt, path)
         enc_ckpt.params["enc.0.ffn.w1"] = saved
         with pytest.raises(CheckpointError, match="enc.0.ffn.w1"):
+            load_checkpoint(path)
+
+    def test_failed_save_leaves_previous_file(self, tmp_path, enc_ckpt, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(enc_ckpt, path)
+        before = path.read_bytes()
+        calls = []
+        real = model._write_tensor
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise OSError("injected write failure")
+            return real(*args)
+
+        monkeypatch.setattr(model, "_write_tensor", failing)
+        enc_ckpt.step = 99
+        with pytest.raises(OSError, match="injected"):
+            save_checkpoint(enc_ckpt, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
+    def test_older_file_with_optimizer_records_loads_its_weights(self, tmp_path, seq_ckpt):
+        ensure_mlm_head(seq_ckpt, init_seed=5)
+        seq_ckpt.step = 42
+        weights, optimizer = legacy_checkpoint_parts(seq_ckpt)
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(weights + optimizer)
+        loaded = load_checkpoint(path)
+        assert loaded.step == 42
+        assert set(loaded.params) == set(seq_ckpt.params)
+        for name, p in seq_ckpt.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data)
+        # saving it again writes the weights alone
+        save_checkpoint(loaded, tmp_path / "new.ckpt")
+        assert b"opt/" not in (tmp_path / "new.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("cut", [10, -3], ids=["in-first-name", "in-last-data"])
+    def test_older_file_truncated_inside_optimizer_records_rejected(self, tmp_path,
+                                                                     enc_ckpt, cut):
+        weights, optimizer = legacy_checkpoint_parts(enc_ckpt)
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(weights + optimizer[:cut])
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_older_file_with_duplicate_optimizer_record_rejected(self, tmp_path, enc_ckpt):
+        weights, optimizer = legacy_checkpoint_parts(enc_ckpt)
+        path = tmp_path / "old.ckpt"
+        m_records = optimizer[: len(optimizer) // 2]  # m and v records are equal in size
+        path.write_bytes(weights + optimizer + m_records)
+        with pytest.raises(CheckpointError, match="duplicate tensor opt/m/"):
             load_checkpoint(path)
 
 

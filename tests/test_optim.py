@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from inkstone import tensor as T
+from inkstone.errors import DataError, NonFiniteLossError
 from inkstone.optim import AdamState, adam_step, noam_lr, train_step
 from inkstone.tensor import parameter
 
@@ -102,6 +103,20 @@ class TestTrainStep:
         assert value == float(loss_b.data) == 5.0
         assert np.array_equal(a.data, b.data)
         assert a.grad is None and state_a.t == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_loss_raises_and_changes_nothing(self, bad):
+        w = parameter([1.0, -2.0])
+        state = AdamState()
+        train_step({"w": w}, T.reduce_sum(T.mul(w, w)), state, 0.1)
+        weights, m, v = w.data.copy(), state.m["w"].copy(), state.v["w"].copy()
+        loss = T.scale(T.reduce_sum(T.mul(w, w)), bad)
+        with pytest.raises(NonFiniteLossError, match=str(float(loss.data))) as err:
+            train_step({"w": w}, loss, state, 0.1, weight_decay=0.01)
+        assert isinstance(err.value, DataError)
+        assert np.array_equal(w.data, weights) and w.grad is None
+        assert state.t == 1
+        assert np.array_equal(state.m["w"], m) and np.array_equal(state.v["w"], v)
 
 
 class TestNoam:

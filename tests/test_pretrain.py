@@ -6,7 +6,16 @@ import pytest
 from inkstone import optim
 from inkstone import tensor as T
 from inkstone.errors import ConfigError
-from inkstone.model import ModelConfig, build_model, encoder_forward, ensure_mlm_head, mlm_head
+from inkstone.model import (
+    ModelConfig,
+    build_model,
+    encoder_forward,
+    ensure_mlm_head,
+    load_checkpoint,
+    mlm_head,
+    mlm_head_spec,
+    parameter_spec,
+)
 from inkstone.optim import AdamState, adam_step, collect_grads
 import inkstone.pretrain as pretrain_module
 from inkstone.pretrain import (
@@ -227,6 +236,21 @@ class TestPretrainLoop:
         assert second.step == 10
         first_line = (tmp_path / "train.log").read_text().split("\n")[0]
         assert first_line.startswith("6\t")
+
+    def test_checkpoints_hold_weights_config_and_step_only(self, vocab, tmp_path):
+        texts = ["山水风花雪月", "街春江夜湖海"]
+        model_cfg = toy_model_cfg(vocab)
+        cfg = PretrainConfig(learning_rate=1e-3, batch_size=2, max_steps=4,
+                             max_len=10, seed=1, checkpoint_every=2)
+        ckpt = pretrain(texts, vocab, model_cfg, cfg, out_dir=tmp_path)
+        want = set(parameter_spec(model_cfg)) | set(mlm_head_spec(model_cfg))
+        for name, step in (("step_2.ckpt", 2), ("step_4.ckpt", 4), ("final.ckpt", 4)):
+            blob = (tmp_path / name).read_bytes()
+            assert b"opt/" not in blob and b"opt_t" not in blob
+            loaded = load_checkpoint(tmp_path / name)
+            assert set(loaded.params) == want and loaded.step == step
+        for name, p in ckpt.params.items():
+            assert np.array_equal(loaded.params[name].data, p.data)
 
     def test_incompatible_init_rejected(self, vocab):
         texts = ["山水风花雪月"]
