@@ -13,8 +13,8 @@ float32). Older files' optimizer records, named "opt/...", are skipped.
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -324,7 +324,7 @@ def encoder_forward(ckpt: Checkpoint, ids, attention_mask=None, segment_ids=None
                                      cfg.num_heads, drop, rng)
         h = _residual_ln(p, f"enc.{i}.attn_ln", h, attn)
         h = _residual_ln(p, f"enc.{i}.ffn_ln", h, _ffn(p, f"enc.{i}.ffn", h, drop, rng))
-    return EncoderOutput(hidden=h, pooled=T.select_position(h, 0))
+    return EncoderOutput(hidden=h, pooled=T.gather(h, (np.arange(batch), 0)))
 
 
 def decoder_forward(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
@@ -388,7 +388,7 @@ def select_cache_rows(cache: dict, rows) -> dict:
 
 
 def mlm_head(ckpt: Checkpoint, hidden: T.Tensor) -> T.Tensor:
-    """Transform then project onto the tied token embedding; (B, L, V)."""
+    """Transform then project onto the tied token embedding; (..., H) to (..., V)."""
     p = ckpt.params
     if "mlm.dense.w" not in p:
         raise ConfigError("checkpoint has no MLM head; call ensure_mlm_head first")
@@ -454,48 +454,56 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         raise
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
+def _check_room(f, n: int, end: int, what: str) -> None:
+    # before any read, so a corrupt length cannot allocate before this fires
+    if n > end - f.tell():
         raise CheckpointError(f"truncated checkpoint while reading {what}")
-    return data
 
 
-def _read_u64(f, what: str) -> int:
-    return struct.unpack("<Q", _read_exact(f, 8, what))[0]
+def _read_exact(f, n: int, end: int, what: str) -> bytes:
+    _check_room(f, n, end, what)
+    return f.read(n)
+
+
+def _read_u64(f, end: int, what: str) -> int:
+    return struct.unpack("<Q", _read_exact(f, 8, end, what))[0]
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and validate a checkpoint; any inconsistency is a CheckpointError."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    f = io.BytesIO(blob)
-    if _read_exact(f, 4, "magic") != MAGIC:
-        raise CheckpointError(f"not a checkpoint file: {path}")
-    version = struct.unpack("<I", _read_exact(f, 4, "version"))[0]
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
-    header_len = _read_u64(f, "header length")
-    try:
-        header = json.loads(_read_exact(f, header_len, "header").decode("utf-8"))
-        cfg = ModelConfig.from_dict(header["config"])
-        step = int(header["step"])
-    except (ValueError, KeyError, TypeError) as e:
-        raise CheckpointError(f"corrupt checkpoint header: {e}") from None
+    """Read and validate a checkpoint; any inconsistency is a CheckpointError.
 
+    Each tensor is read straight into its own array, so the peak is about
+    the file's size.
+    """
     arrays: dict[str, np.ndarray] = {}
-    while f.tell() < len(blob):
-        name_len = _read_u64(f, "tensor name length")
-        name = _read_exact(f, name_len, "tensor name").decode("utf-8")
-        rank = _read_u64(f, f"rank of {name}")
-        if rank > 8:
-            raise CheckpointError(f"implausible rank {rank} for tensor {name}")
-        shape = tuple(_read_u64(f, f"dims of {name}") for _ in range(rank))
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        raw = _read_exact(f, 4 * count, f"data of {name}")
-        if name in arrays:
-            raise CheckpointError(f"duplicate tensor {name}")
-        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
+    with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size
+        if _read_exact(f, 4, end, "magic") != MAGIC:
+            raise CheckpointError(f"not a checkpoint file: {path}")
+        version = struct.unpack("<I", _read_exact(f, 4, end, "version"))[0]
+        if version != FORMAT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        header_len = _read_u64(f, end, "header length")
+        try:
+            header = json.loads(_read_exact(f, header_len, end, "header").decode("utf-8"))
+            cfg = ModelConfig.from_dict(header["config"])
+            step = int(header["step"])
+        except (ValueError, KeyError, TypeError) as e:
+            raise CheckpointError(f"corrupt checkpoint header: {e}") from None
+
+        while f.tell() < end:
+            name_len = _read_u64(f, end, "tensor name length")
+            name = _read_exact(f, name_len, end, "tensor name").decode("utf-8")
+            rank = _read_u64(f, end, f"rank of {name}")
+            if rank > 8:
+                raise CheckpointError(f"implausible rank {rank} for tensor {name}")
+            shape = tuple(_read_u64(f, end, f"dims of {name}") for _ in range(rank))
+            _check_room(f, 4 * math.prod(shape), end, f"data of {name}")
+            arr = np.empty(shape, dtype="<f4")
+            f.readinto(arr.reshape(-1).view(np.uint8))
+            if name in arrays:
+                raise CheckpointError(f"duplicate tensor {name}")
+            arrays[name] = arr
 
     # older files' optimizer records were checked above like the rest; drop them
     weights = {k: v for k, v in arrays.items() if not k.startswith("opt/")}

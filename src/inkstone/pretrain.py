@@ -207,10 +207,10 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
             train = model_cfg.dropout_rate > 0.0
             out = encoder_forward(ckpt, batch.input_ids, batch.attention_mask,
                                   train=train, rng=rng)
-            length = batch.input_ids.shape[1]
-            logits = T.reshape(mlm_head(ckpt, out.hidden), (idx.size * length, len(vocab)))
-            flat_positions = batch.label_rows * length + batch.label_cols
-            loss = T.cross_entropy_masked(logits, flat_positions, batch.label_ids)
+            # the head projects only the labelled rows, as BERT's gather_indexes does
+            labelled = T.gather(out.hidden, (batch.label_rows, batch.label_cols))
+            loss = T.cross_entropy_masked(mlm_head(ckpt, labelled),
+                                          np.arange(batch.num_labels), batch.label_ids)
             loss_value = train_step(ckpt.params, loss, state, cfg.learning_rate,
                                     weight_decay=cfg.weight_decay)
 
@@ -255,7 +255,7 @@ def eval_mlm(ckpt: Checkpoint, texts: Sequence[str], vocab: Vocab,
             cols = batch.label_cols[in_batch]
             golds = batch.label_ids[in_batch]
             out = encoder_forward(ckpt, batch.input_ids[lo:hi], batch.attention_mask[lo:hi])
-            logits = mlm_head(ckpt, out.hidden).data[rows, cols]
+            logits = mlm_head(ckpt, T.gather(out.hidden, (rows, cols))).data
             shifted = logits - logits.max(axis=-1, keepdims=True)
             logprobs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
             preds = logits.argmax(axis=-1)

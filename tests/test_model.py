@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -395,6 +396,35 @@ class TestCheckpointIO:
         path.write_bytes(weights + optimizer + m_records)
         with pytest.raises(CheckpointError, match="duplicate tensor opt/m/"):
             load_checkpoint(path)
+
+    def test_corrupt_dims_rejected_before_allocating(self, tmp_path, enc_ckpt):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(enc_ckpt, path)
+        blob = bytearray(path.read_bytes())
+        header_len = struct.unpack_from("<Q", blob, 8)[0]
+        name_at = 16 + header_len
+        name_len = struct.unpack_from("<Q", blob, name_at)[0]
+        dims_at = name_at + 8 + name_len + 8
+        struct.pack_into("<Q", blob, dims_at, 1 << 40)  # a 4 TB tensor
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="truncated.*data of"):
+            load_checkpoint(path)
+
+    def test_load_peak_memory_stays_near_file_size(self, tmp_path):
+        cfg = toy_config(vocab_size=8192, hidden_size=256, num_heads=4, ff_size=512,
+                         max_positions=16)
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(build_model(cfg, init_seed=0), path)
+        size = path.stat().st_size
+        assert size >= 8 * 2**20
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.params["emb.token"].shape == (8192, 256)
+        assert peak <= 1.2 * size, f"peak {peak} B for a {size} B file"
 
 
 class TestSeq2SeqInit:

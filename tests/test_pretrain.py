@@ -36,6 +36,10 @@ PINNED_LOSSES = [
     2.736339, 2.822218, 2.798677, 2.817416, 2.836953, 2.741263, 2.791683, 2.81615,
 ]
 
+# eval_mlm on the fixture of TestEvalMlm.test_pinned_accuracy_and_perplexity,
+# captured when the head still projected every row before indexing
+PINNED_EVAL = (4 / 47, 11.47082315732594)
+
 
 @pytest.fixture
 def vocab():
@@ -252,6 +256,26 @@ class TestPretrainLoop:
         for name, p in ckpt.params.items():
             assert np.array_equal(loaded.params[name].data, p.data)
 
+    def test_head_projects_only_labelled_rows(self, vocab, monkeypatch):
+        rows = []
+        labels = []
+        real_head, real_mask = pretrain_module.mlm_head, pretrain_module._mask_batch_nonempty
+
+        def head(ckpt, hidden):
+            rows.append(hidden.shape)
+            return real_head(ckpt, hidden)
+
+        def mask(*args):
+            batch = real_mask(*args)
+            labels.append(batch.num_labels)
+            return batch
+
+        monkeypatch.setattr(pretrain_module, "mlm_head", head)
+        monkeypatch.setattr(pretrain_module, "_mask_batch_nonempty", mask)
+        pretrain(["山水风花雪月", "街春江夜湖海"], vocab, toy_model_cfg(vocab),
+                 PretrainConfig(batch_size=2, max_steps=3, max_len=10, seed=1))
+        assert rows == [(n, 16) for n in labels]
+
     def test_incompatible_init_rejected(self, vocab):
         texts = ["山水风花雪月"]
         small = pretrain(texts, vocab, toy_model_cfg(vocab),
@@ -296,3 +320,13 @@ class TestEvalMlm:
         acc, ppl = eval_mlm(ckpt, [sentence], vocab, masking, seed=9)
         assert acc == 1.0
         assert ppl < 2.0
+
+    def test_pinned_accuracy_and_perplexity(self, vocab):
+        rng = np.random.default_rng(6)
+        texts = ["".join(rng.choice(CHARS, size=8)) for _ in range(20)]
+        cfg = PretrainConfig(learning_rate=3e-3, batch_size=4, max_steps=150, max_len=10,
+                             seed=11)
+        ckpt = pretrain(texts, vocab, toy_model_cfg(vocab), cfg)
+        acc, ppl = eval_mlm(ckpt, texts, vocab, MaskingConfig(select_prob=0.3), seed=7,
+                            batch_size=3)
+        assert (acc, ppl) == pytest.approx(PINNED_EVAL, rel=1e-6)

@@ -83,6 +83,21 @@ class TestMatmul:
         for i in range(4):
             assert np.allclose(out.data[i], matmul_oracle(a[i], b[i]), atol=1e-6)
 
+    def test_weight_gradient_of_batched_a_and_2d_b(self, rng):
+        a = T.parameter(rng.standard_normal((3, 4, 5)).astype(np.float32) * 0.5)
+        b = T.parameter(rng.standard_normal((5, 6)).astype(np.float32) * 0.5)
+
+        def build():
+            return T.cross_entropy_masked(T.reshape(T.matmul(a, b), (12, 6)),
+                                          [0, 4, 7, 11], [1, 5, 0, 3])
+
+        assert T.grad_check(build, [a, b], eps=1e-3) < 1e-3
+        g = rng.standard_normal((3, 4, 6)).astype(np.float32)
+        T.backward(T.reduce_sum(T.mul(T.matmul(a, b), T.Tensor(g))))
+        # the batched product summed over the batch, as before the 2-D GEMM
+        summed = np.matmul(np.swapaxes(a.data, -1, -2), g).sum(axis=0)
+        assert np.allclose(b.grad, summed, rtol=1e-5, atol=1e-6)
+
     def test_shape_mismatch_names_both_shapes(self):
         a = T.Tensor(np.zeros((2, 3)))
         b = T.Tensor(np.zeros((4, 2)))
@@ -198,6 +213,20 @@ class TestCrossEntropy:
             total += -(row[lab] - math.log(denom))
         assert abs(loss - total / 3) < 1e-5
 
+    @pytest.mark.parametrize("positions", [[0, 2, 5], [2, 2, 5]], ids=["distinct", "repeated"])
+    def test_gradient_matches_softmax_oracle(self, rng, positions):
+        logits = T.parameter(rng.standard_normal((6, 5)).astype(np.float32))
+        labels = [1, 4, 0]
+        T.backward(T.cross_entropy_masked(logits, positions, labels))
+        want = np.zeros((6, 5))
+        for pos, lab in zip(positions, labels):
+            row = logits.data[pos].astype(np.float64)
+            p = np.exp(row - row.max())
+            p /= p.sum()
+            p[lab] -= 1.0
+            want[pos] += p / len(positions)  # a repeated row gets both terms
+        assert np.allclose(logits.grad, want, rtol=1e-5, atol=1e-7)
+
     def test_empty_labels_raise(self):
         with pytest.raises(T.EmptyBatchError):
             T.cross_entropy_masked(T.Tensor(np.zeros((2, 3))), [], [])
@@ -269,6 +298,26 @@ class TestBackward:
         assert np.array_equal(table.grad[1], np.array([2.0, 2.0], dtype=np.float32))
         assert np.array_equal(table.grad[3], np.array([1.0, 1.0], dtype=np.float32))
         assert np.array_equal(table.grad[0], np.zeros(2, dtype=np.float32))
+
+
+class TestGather:
+    def test_picks_indexed_rows(self, rng):
+        x = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        rows, cols = np.array([1, 0, 1]), np.array([2, 0, 2])
+        out = T.gather(T.Tensor(x), (rows, cols))
+        assert np.array_equal(out.data, np.stack([x[1, 2], x[0, 0], x[1, 2]]))
+
+    def test_grad_check_with_repeated_row(self, rng):
+        x = T.parameter(rng.standard_normal((2, 3, 4)).astype(np.float32))
+        rows, cols = np.array([1, 0, 1, 0]), np.array([2, 0, 2, 1])
+
+        def build():
+            return T.cross_entropy_masked(T.gather(x, (rows, cols)), np.arange(4), [0, 3, 2, 1])
+
+        assert T.grad_check(build, [x], eps=1e-3) < 1e-3
+        T.backward(build())
+        assert np.count_nonzero(np.abs(x.grad).sum(axis=-1)) == 3
+        assert np.array_equal(x.grad[1, 1], np.zeros(4, dtype=np.float32))
 
 
 class TestGradCheck:
