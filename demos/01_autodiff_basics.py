@@ -20,7 +20,7 @@ def main():
     b1 = T.parameter(np.zeros(16))
     w2 = T.parameter(rng.normal(scale=0.3, size=(16, 3)))
 
-    h = T.gelu(T.add(T.matmul(x, w1), b1))
+    h = T.gelu(T.linear(x, w1, b1))  # one node for x @ w1 + b1
     logits = T.matmul(h, w2)
     labels = np.array([0, 2, 1, 0])
     loss = T.cross_entropy_masked(logits, np.arange(4), labels)
@@ -30,12 +30,17 @@ def main():
     for name, p in [("w1", w1), ("b1", b1), ("w2", w2)]:
         print(f"grad[{name}]: shape {p.grad.shape}, "
               f"|g|_max = {np.abs(p.grad).max():.4f}")
+    # backward frees the graph as it walks it, so a second pass has nothing to walk
+    try:
+        T.backward(loss)
+    except ValueError as e:
+        print(f"second backward on the same loss: {e}")
 
     print()
     print("== the same loss, checked against central differences ==")
 
     def build_loss():
-        h = T.gelu(T.add(T.matmul(x, w1), b1))
+        h = T.gelu(T.linear(x, w1, b1))
         return T.cross_entropy_masked(T.matmul(h, w2), np.arange(4), labels)
 
     err = T.grad_check(build_loss, [w1, b1, w2], eps=1e-4)

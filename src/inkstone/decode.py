@@ -131,7 +131,11 @@ def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source,
     def step(prefixes: Sequence[Sequence[int]]) -> np.ndarray:
         nonlocal cache, rows
         if rows:
-            cache = select_cache_rows(cache, [rows[tuple(p[:-1])] for p in prefixes])
+            parents = [rows[tuple(p[:-1])] for p in prefixes]
+            # searches pass distinct prefixes, so the cache has len(rows) rows;
+            # a greedy step keeps its one row, and only a beam step reorders or drops
+            if parents != list(range(len(rows))):
+                cache = select_cache_rows(cache, parents)
         ids = [[p[-1] if len(p) else bos] for p in prefixes]
         with T.no_grad():
             logits = decoder_forward(ckpt, ids, enc_hidden, source_mask[None, :], cache=cache)

@@ -236,12 +236,12 @@ def _multi_head_attention(p, prefix: str, q_in, kv_in, add_mask, num_heads: int,
         x = T.reshape(x, (x.shape[0], x.shape[1], num_heads, dh))
         return T.transpose(x, (0, 2, 1, 3))
 
-    q = heads(T.add(T.matmul(q_in, p[f"{prefix}.wq"]), p[f"{prefix}.bq"]))
+    q = heads(T.linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
     if kv_in is None:
         k, v = (T.Tensor(a) for a in cache[prefix])
     else:
-        k = heads(T.add(T.matmul(kv_in, p[f"{prefix}.wk"]), p[f"{prefix}.bk"]))
-        v = heads(T.add(T.matmul(kv_in, p[f"{prefix}.wv"]), p[f"{prefix}.bv"]))
+        k = heads(T.linear(kv_in, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
+        v = heads(T.linear(kv_in, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
         if cache is not None:
             if prefix in cache:
                 k, v = (T.Tensor(np.concatenate([old, new.data], axis=2))
@@ -256,15 +256,15 @@ def _multi_head_attention(p, prefix: str, q_in, kv_in, add_mask, num_heads: int,
         probs = T.dropout(probs, drop, rng)
     ctx = T.matmul(probs, v)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (batch, q_len, hidden))
-    out = T.add(T.matmul(ctx, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+    out = T.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
     if drop > 0.0:
         out = T.dropout(out, drop, rng)
     return out
 
 
 def _ffn(p, prefix: str, x, drop: float, rng) -> T.Tensor:
-    h = T.gelu(T.add(T.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-    out = T.add(T.matmul(h, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+    h = T.gelu(T.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+    out = T.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
     if drop > 0.0:
         out = T.dropout(out, drop, rng)
     return out
@@ -374,7 +374,7 @@ def decoder_forward(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
                                            cross, cfg.num_heads, drop, rng, cache)
         h = _residual_ln(p, f"dec.{i}.cross_ln", h, cross_attn)
         h = _residual_ln(p, f"dec.{i}.ffn_ln", h, _ffn(p, f"dec.{i}.ffn", h, drop, rng))
-    return T.add(T.matmul(h, p["dec.out.w"]), p["dec.out.b"])
+    return T.linear(h, p["dec.out.w"], p["dec.out.b"])
 
 
 def select_cache_rows(cache: dict, rows) -> dict:
@@ -392,9 +392,9 @@ def mlm_head(ckpt: Checkpoint, hidden: T.Tensor) -> T.Tensor:
     p = ckpt.params
     if "mlm.dense.w" not in p:
         raise ConfigError("checkpoint has no MLM head; call ensure_mlm_head first")
-    t = T.layer_norm(T.gelu(T.add(T.matmul(hidden, p["mlm.dense.w"]), p["mlm.dense.b"])),
+    t = T.layer_norm(T.gelu(T.linear(hidden, p["mlm.dense.w"], p["mlm.dense.b"])),
                      p["mlm.ln.gamma"], p["mlm.ln.beta"])
-    return T.add(T.matmul(t, T.transpose(p["emb.token"], (1, 0))), p["mlm.out_bias"])
+    return T.linear(t, T.transpose(p["emb.token"], (1, 0)), p["mlm.out_bias"])
 
 
 def cls_head(ckpt: Checkpoint, pooled: T.Tensor, train: bool = False, rng=None) -> T.Tensor:
@@ -405,7 +405,7 @@ def cls_head(ckpt: Checkpoint, pooled: T.Tensor, train: bool = False, rng=None) 
     drop = _check_train_args(ckpt.config, train, rng)
     if drop > 0.0:
         pooled = T.dropout(pooled, drop, rng)
-    return T.add(T.matmul(pooled, p["cls.w"]), p["cls.b"])
+    return T.linear(pooled, p["cls.w"], p["cls.b"])
 
 
 def init_seq2seq_from_encoder(enc_ckpt: Checkpoint, decoder_layers: int,

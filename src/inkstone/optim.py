@@ -50,14 +50,18 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
         v = state.v[name]
         if m.shape != p.data.shape:
             raise ValueError(f"optimizer state shape mismatch for {name}")
+        # one scratch array, in the operation order of
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        s = np.empty_like(m)
         if weight_decay != 0.0:
-            p.data -= np.float32(lr * weight_decay) * p.data
+            p.data -= np.multiply(p.data, np.float32(lr * weight_decay), out=s)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=s)
         v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + eps)
-        p.data -= np.float32(lr) * update.astype(p.data.dtype, copy=False)
+        v += np.multiply(np.multiply(g, g, out=s), 1.0 - beta2, out=s)
+        np.sqrt(np.divide(v, bc2, out=s), out=s)
+        s += eps
+        p.data -= np.multiply(np.divide(m / bc1, s, out=s), np.float32(lr), out=s)
 
 
 def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

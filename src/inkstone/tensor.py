@@ -4,6 +4,10 @@ The compute graph is implicit: every operation returns a Tensor holding
 references to its parents and a closure that maps the output gradient to
 parent gradients. backward() walks that DAG once in reverse topological
 order, so each node's gradient is fully accumulated before it is used.
+backward() also consumes the graph: each node drops its parents and its
+closure once the closure has run, so activations are freed during the
+walk, and a second backward through the same graph raises. Two losses
+that share a subgraph therefore need one backward(add(l1, l2)).
 Arrays are float32 by default; grad_check temporarily promotes the
 parameters it probes to float64 because float32 finite differences are
 too noisy to certify anything.
@@ -142,7 +146,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batch broadcasting over leading axes."""
+    """Batched matrix product over leading axes; a layer's weight goes through linear."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul needs rank >= 2 operands, got {a.shape} x {b.shape}")
@@ -154,25 +158,43 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         ga = gb = None
         if a.requires_grad:
             ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        if b.requires_grad and b.ndim == 2:
-            # one GEMM over every leading row, not a batched product then a sum
-            k, n = b.data.shape
-            gb = a.data.reshape(-1, k).T @ g.reshape(-1, n)
-        elif b.requires_grad:
+        if b.requires_grad:
             gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
         return (ga, gb)
 
     return _result(data, (a, b), backward_fn)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for a (k, n) weight and an (n,) bias, as one node."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"linear shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
+    data = np.matmul(x.data, w.data)
+    data += b.data
+
+    def backward_fn(g):
+        gx = gw = gb = None
+        if x.requires_grad:
+            gx = np.matmul(g, w.data.T)
+        if w.requires_grad:
+            # one GEMM over every leading row, not a batched product then a sum
+            k, n = w.data.shape
+            gw = x.data.reshape(-1, k).T @ g.reshape(-1, n)
+        if b.requires_grad:
+            gb = _unbroadcast(g, b.data.shape)
+        return (gx, gw, gb)
+
+    return _result(data, (x, w, b), backward_fn)
+
+
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     a = as_tensor(a)
     axes = tuple(axes)
     data = np.transpose(a.data, axes)
-    inverse = tuple(np.argsort(axes))
 
     def backward_fn(g):
-        return (np.transpose(g, inverse),)
+        return (np.transpose(g, np.argsort(axes)),)
 
     return _result(data, (a,), backward_fn)
 
@@ -205,9 +227,9 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along one axis."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=axis, keepdims=True)
 
     def backward_fn(g):
         dot = (g * s).sum(axis=axis, keepdims=True)
@@ -224,14 +246,23 @@ def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     x = as_tensor(x)
     d = x.data
-    inner = _GELU_K * (d + _GELU_C * d * d * d)
-    t = np.tanh(inner)
-    out = 0.5 * d * (1.0 + t)
+    # t = tanh(K * (d + C * d * d * d)), finished in place in that operation order
+    t = _GELU_C * d * d * d
+    t += d
+    t *= _GELU_K
+    np.tanh(t, out=t)
+    out = 0.5 * d
+    out *= 1.0 + t
 
     def backward_fn(g):
-        dinner = _GELU_K * (1.0 + 3.0 * _GELU_C * d * d)
-        dx = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * dinner
-        return (g * dx,)
+        # dx = 0.5 * (1 + t) + 0.5 * d * (1 - t * t) * K * (1 + 3 * C * d * d)
+        dx = 3.0 * _GELU_C * d * d
+        dx += 1.0
+        dx *= _GELU_K
+        dx *= 0.5 * d * (1.0 - t * t)
+        dx += 0.5 * (1.0 + t)
+        dx *= g
+        return (dx,)
 
     return _result(out, (x,), backward_fn)
 
@@ -244,25 +275,30 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
         raise ValueError(
             f"layer_norm affine shape mismatch: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
         )
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = centered * inv
-    out = xhat * gamma.data + beta.data
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    out = xhat * xhat  # working buffer: the squares, then the output
+    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + x.data.dtype.type(eps))
+    xhat *= inv
+    np.multiply(xhat, gamma.data, out=out)
+    out += beta.data
 
     def backward_fn(g):
         gx = ggamma = gbeta = None
         lead = tuple(range(g.ndim - 1))
+        buf = g * xhat
         if gamma.requires_grad:
-            ggamma = (g * xhat).sum(axis=lead)
+            ggamma = buf.sum(axis=lead)
         if beta.requires_grad:
             gbeta = g.sum(axis=lead)
         if x.requires_grad:
-            dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            gx = inv * (dxhat - m1 - xhat * m2)
+            # gx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+            gx = g * gamma.data
+            m1 = gx.mean(axis=-1, keepdims=True)
+            np.multiply(gx, xhat, out=buf)
+            np.multiply(xhat, buf.mean(axis=-1, keepdims=True), out=buf)
+            gx -= m1
+            gx -= buf
+            gx *= inv
         return (gx, ggamma, gbeta)
 
     return _result(out, (x, gamma, beta), backward_fn)
@@ -361,8 +397,12 @@ def cross_entropy_masked(logits: Tensor, positions, label_ids) -> Tensor:
     return _result(out, (logits,), backward_fn)
 
 
+def _consumed(g):
+    raise ValueError("backward already ran through this graph")
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into .grad of every trainable leaf."""
+    """Accumulate d(loss)/d(leaf) into .grad of every trainable leaf, consuming the graph."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     topo: list[Tensor] = []
@@ -382,7 +422,9 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        # popping, so the list does not keep a finished node's data alive
+        node = topo.pop()
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -390,7 +432,9 @@ def backward(loss: Tensor) -> None:
             if node.requires_grad:
                 node.grad = g if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._backward(g)):
+        parents, fn = node._parents, node._backward
+        node._parents, node._backward = (), _consumed
+        for parent, pg in zip(parents, fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
             key = id(parent)

@@ -101,3 +101,61 @@ def ref_decoder_logits(ckpt, target_ids, encoder_hidden, source_mask):
             h = ref_layer_norm(h + f, p[f"dec.{i}.ffn_ln.gamma"], p[f"dec.{i}.ffn_ln.beta"])
         out.append(h @ p["dec.out.w"] + p["dec.out.b"])
     return np.stack(out)
+
+
+# ------------------------------------------------------------------------
+# Array formulas of the tensor kernels and Adam before they were rewritten
+# to work in place, kept verbatim (each op's forward, then its backward on
+# the output gradient g). The in-place kernels must match them bit for bit.
+
+_GELU_K = 0.7978845608028654  # sqrt(2/pi)
+_GELU_C = 0.044715
+
+
+def formula_softmax(x, g, axis=-1):
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    s = e / e.sum(axis=axis, keepdims=True)
+    dot = (g * s).sum(axis=axis, keepdims=True)
+    return s, s * (g - dot)
+
+
+def formula_gelu(x, g):
+    d = x
+    inner = _GELU_K * (d + _GELU_C * d * d * d)
+    t = np.tanh(inner)
+    out = 0.5 * d * (1.0 + t)
+    dinner = _GELU_K * (1.0 + 3.0 * _GELU_C * d * d)
+    dx = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * dinner
+    return out, g * dx
+
+
+def formula_layer_norm(x, gamma, beta, g, eps=1e-12):
+    mean = x.mean(axis=-1, keepdims=True)
+    centered = x - mean
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = centered * inv
+    out = xhat * gamma + beta
+    lead = tuple(range(g.ndim - 1))
+    ggamma = (g * xhat).sum(axis=lead)
+    gbeta = g.sum(axis=lead)
+    dxhat = g * gamma
+    m1 = dxhat.mean(axis=-1, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+    gx = inv * (dxhat - m1 - xhat * m2)
+    return out, gx, ggamma, gbeta
+
+
+def formula_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
+    """One update of p, m and v in place, at step t (1-based)."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    if weight_decay != 0.0:
+        p -= np.float32(lr * weight_decay) * p
+    m *= beta1
+    m += (1.0 - beta1) * g
+    v *= beta2
+    v += (1.0 - beta2) * (g * g)
+    update = (m / bc1) / (np.sqrt(v / bc2) + eps)
+    p -= np.float32(lr) * update.astype(p.dtype, copy=False)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _steps import batched
+import inkstone.decode as decode_module
 from inkstone import tensor as T
 from inkstone.decode import (
     DecodeConfig,
@@ -317,3 +318,23 @@ class TestIncrementalStep:
             np.testing.assert_allclose(step(prefixes),
                                        teacher_forced_rows(ckpt, vocab, "七丅", prefixes),
                                        rtol=0, atol=1e-5)
+
+    def test_greedy_steps_keep_the_cache_without_a_gather(self, tiny_seq2seq, monkeypatch):
+        ckpt, vocab = tiny_seq2seq
+        calls = []
+        real = decode_module.select_cache_rows
+
+        def spy(cache, rows):
+            calls.append(list(rows))
+            return real(cache, rows)
+
+        monkeypatch.setattr(decode_module, "select_cache_rows", spy)
+        step, _ = _model_step_fn(ckpt, vocab, "七丅", 64)
+        a, b, c = (vocab.id_of(ch) for ch in "一丁丂")
+        for prefix in ([], [a], [a, b], [a, b, c]):
+            np.testing.assert_allclose(step([prefix]),
+                                       teacher_forced_rows(ckpt, vocab, "七丅", [prefix]),
+                                       rtol=0, atol=1e-5)
+        assert calls == []
+        step([[a, b, c, a], [a, b, c, b]])  # a beam step that forks its row gathers
+        assert calls == [[0, 0]]

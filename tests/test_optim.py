@@ -5,10 +5,12 @@ here, not from the module under test.
 """
 
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from _reference import formula_adam
 from inkstone import tensor as T
 from inkstone.errors import DataError, NonFiniteLossError
 from inkstone.optim import AdamState, adam_step, noam_lr, train_step
@@ -78,6 +80,20 @@ class TestAdam:
         # momentum from the first step damps the reversal
         assert abs(float(p.data[0]) - first) < 0.1
 
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_matches_the_array_formula_bit_for_bit(self, wd):
+        rng = np.random.default_rng(3)
+        p = parameter(rng.standard_normal((4, 6)).astype(np.float32))
+        ref_p = p.data.copy()
+        ref_m, ref_v = np.zeros_like(ref_p), np.zeros_like(ref_p)
+        state = AdamState()
+        for t in range(1, 6):
+            g = (rng.standard_normal((4, 6)) * 10.0 ** -t).astype(np.float32)
+            adam_step({"p": p}, {"p": g}, state, lr=3e-3, weight_decay=wd)
+            formula_adam(ref_p, g, ref_m, ref_v, t, lr=3e-3, weight_decay=wd)
+            assert np.array_equal(p.data, ref_p)
+            assert np.array_equal(state.m["p"], ref_m) and np.array_equal(state.v["p"], ref_v)
+
     def test_shape_mismatch_rejected(self):
         p = parameter(np.zeros(3, dtype=np.float32))
         with pytest.raises(ValueError, match="shape"):
@@ -103,6 +119,19 @@ class TestTrainStep:
         assert value == float(loss_b.data) == 5.0
         assert np.array_equal(a.data, b.data)
         assert a.grad is None and state_a.t == 1
+
+    def test_activations_are_freed_when_the_step_returns(self):
+        rng = np.random.default_rng(0)
+        w = parameter(rng.standard_normal((4, 3)).astype(np.float32))
+        b = parameter(np.zeros(3, dtype=np.float32))
+        x = T.Tensor(rng.standard_normal((5, 4)).astype(np.float32))
+        hidden = T.add(T.matmul(x, w), b)
+        alive = weakref.ref(hidden.data)
+        loss = T.cross_entropy_masked(T.gelu(hidden), [0, 2], [1, 0])
+        del hidden
+        assert alive() is not None  # the graph holds it until backward
+        train_step({"w": w, "b": b}, loss, AdamState(), 0.1)
+        assert alive() is None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_loss_raises_and_changes_nothing(self, bad):

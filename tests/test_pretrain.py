@@ -1,5 +1,7 @@
 """Masking and pre-training loop tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -275,6 +277,36 @@ class TestPretrainLoop:
         pretrain(["山水风花雪月", "街春江夜湖海"], vocab, toy_model_cfg(vocab),
                  PretrainConfig(batch_size=2, max_steps=3, max_len=10, seed=1))
         assert rows == [(n, 16) for n in labels]
+
+    def test_memory_peak_does_not_grow_after_the_first_step(self, vocab, monkeypatch):
+        # each window runs from a step's forward to the end of its update; a
+        # graph that outlived its step would still be held during the next one
+        peaks = []
+        real_forward, real_step = pretrain_module.encoder_forward, pretrain_module.train_step
+
+        def forward(*args, **kwargs):
+            tracemalloc.reset_peak()
+            return real_forward(*args, **kwargs)
+
+        def step(*args, **kwargs):
+            value = real_step(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return value
+
+        monkeypatch.setattr(pretrain_module, "encoder_forward", forward)
+        monkeypatch.setattr(pretrain_module, "train_step", step)
+        rng = np.random.default_rng(0)
+        texts = ["".join(rng.choice(CHARS, size=30)) for _ in range(16)]
+        cfg = toy_model_cfg(vocab, num_layers=2, hidden_size=64, num_heads=4, ff_size=256,
+                            max_positions=32, dropout_rate=0.1)
+        tracemalloc.start()
+        try:
+            pretrain(texts, vocab, cfg,
+                     PretrainConfig(batch_size=16, max_steps=3, max_len=32, seed=0))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 3
+        assert peaks[2] <= 1.2 * peaks[0], [p / 1e6 for p in peaks]
 
     def test_incompatible_init_rejected(self, vocab):
         texts = ["山水风花雪月"]

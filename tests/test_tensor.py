@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from _reference import formula_gelu, formula_layer_norm, formula_softmax
 from inkstone import tensor as T
 
 
@@ -112,6 +113,106 @@ class TestMatmul:
             left = T.matmul(T.matmul(T.Tensor(a), T.Tensor(b)), T.Tensor(c)).data
             right = T.matmul(T.Tensor(a), T.matmul(T.Tensor(b), T.Tensor(c))).data
             assert np.allclose(left, right, atol=1e-4)
+
+
+def backprop(out, g):
+    """Run backward with g as the gradient arriving at out."""
+    T.backward(T.reduce_sum(T.mul(out, T.Tensor(g, dtype=g.dtype))))
+
+
+class TestLinear:
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_grad_check(self, rng, lead):
+        x = T.parameter(rng.standard_normal(lead + (4,)).astype(np.float32) * 0.5)
+        w = T.parameter(rng.standard_normal((4, 6)).astype(np.float32) * 0.5)
+        b = T.parameter(rng.standard_normal(6).astype(np.float32) * 0.1)
+
+        def build():
+            logits = T.reshape(T.linear(x, w, b), (-1, 6))
+            return T.cross_entropy_masked(logits, [0, 1, 4], [1, 5, 0])
+
+        assert T.grad_check(build, [x, w, b], eps=1e-3) < 1e-3
+
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_matches_matmul_plus_bias_bit_for_bit(self, rng, transposed):
+        x0 = rng.standard_normal((5, 4)).astype(np.float32)
+        w0 = rng.standard_normal((6, 4) if transposed else (4, 6)).astype(np.float32)
+        b0 = rng.standard_normal(6).astype(np.float32)
+        g = rng.standard_normal((5, 6)).astype(np.float32)
+        results = []
+        for op in (T.linear, lambda x, w, b: T.add(T.matmul(x, w), b)):
+            x, w, b = T.parameter(x0), T.parameter(w0), T.parameter(b0)
+            # a transposed view, as the tied MLM projection passes the embedding
+            weight = T.transpose(w, (1, 0)) if transposed else w
+            out = op(x, weight, b)
+            backprop(out, g)
+            results.append((out.data, x.grad, w.grad, b.grad))
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
+
+    def test_batched_input_forms_the_weight_gradient_as_one_gemm(self, rng):
+        x0 = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        w0 = rng.standard_normal((4, 6)).astype(np.float32)
+        b0 = rng.standard_normal(6).astype(np.float32)
+        g = rng.standard_normal((2, 3, 6)).astype(np.float32)
+        x, w, b = T.parameter(x0), T.parameter(w0), T.parameter(b0)
+        out = T.linear(x, w, b)
+        backprop(out, g)
+        assert np.array_equal(out.data, np.matmul(x0, w0) + b0)
+        assert np.array_equal(x.grad, np.matmul(g, w0.T))
+        assert np.array_equal(w.grad, x0.reshape(-1, 4).T @ g.reshape(-1, 6))
+        assert np.array_equal(b.grad, g.sum(axis=(0, 1)))
+        summed = np.matmul(np.swapaxes(x0, -1, -2), g).sum(axis=0)
+        assert np.allclose(w.grad, summed, rtol=1e-5, atol=1e-6)
+
+    def test_shape_mismatch_names_all_shapes(self):
+        x, w = T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match=r"\(2, 3\).*\(3, 4\).*\(3,\)"):
+            T.linear(x, w, T.Tensor(np.zeros(3)))
+        with pytest.raises(ValueError, match="linear shape mismatch"):
+            T.linear(x, T.Tensor(np.zeros((4, 4))), T.Tensor(np.zeros(4)))
+
+
+class TestInPlaceKernels:
+    """Each kernel against its earlier array formula (tests/_reference.py), bit for bit."""
+
+    @pytest.fixture(params=[np.float32, np.float64])
+    def dtype(self, request):
+        return request.param
+
+    def inputs(self, rng, dtype, shape=(3, 5, 16), scale=3.0):
+        x = (rng.standard_normal(shape) * scale).astype(dtype)
+        return x, rng.standard_normal(shape).astype(dtype)
+
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_softmax(self, rng, dtype, axis):
+        x0, g = self.inputs(rng, dtype)
+        x = T.parameter(x0, dtype=dtype)
+        out = T.softmax(x, axis=axis)
+        backprop(out, g)
+        want, gwant = formula_softmax(x0, g, axis)
+        assert np.array_equal(out.data, want) and np.array_equal(x.grad, gwant)
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 40.0])
+    def test_gelu(self, rng, dtype, scale):
+        x0, g = self.inputs(rng, dtype, scale=scale)
+        x0.reshape(-1)[:3] = (0.0, 1e-30, -1e-30)
+        x = T.parameter(x0, dtype=dtype)
+        out = T.gelu(x)
+        backprop(out, g)
+        want, gwant = formula_gelu(x0, g)
+        assert np.array_equal(out.data, want) and np.array_equal(x.grad, gwant)
+
+    def test_layer_norm(self, rng, dtype):
+        x0, g = self.inputs(rng, dtype)
+        gamma0 = rng.standard_normal(16).astype(dtype)
+        beta0 = rng.standard_normal(16).astype(dtype)
+        x, gamma, beta = (T.parameter(a, dtype=dtype) for a in (x0, gamma0, beta0))
+        out = T.layer_norm(x, gamma, beta)
+        backprop(out, g)
+        want = formula_layer_norm(x0, gamma0, beta0, g)
+        for got, expected in zip((out.data, x.grad, gamma.grad, beta.grad), want):
+            assert np.array_equal(got, expected)
 
 
 class TestSoftmax:
@@ -290,6 +391,34 @@ class TestBackward:
         T.backward(build())
         assert np.allclose(a.grad, fd_gradient(build, a), rtol=1e-3, atol=1e-4)
         assert np.allclose(c.grad, fd_gradient(build, c), rtol=1e-3, atol=1e-4)
+
+    def test_second_backward_through_a_graph_raises(self, rng):
+        x = T.parameter(rng.standard_normal(6).astype(np.float32))
+        loss = T.reduce_sum(T.mul(T.gelu(x), x))
+        T.backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(ValueError, match="backward already ran through this graph"):
+            T.backward(loss)
+        assert np.array_equal(x.grad, first)
+
+    def test_losses_sharing_a_subgraph_take_one_backward(self, rng):
+        x = T.parameter(rng.standard_normal(6).astype(np.float32))
+
+        def losses():
+            h = T.gelu(x)
+            return T.reduce_sum(h), T.reduce_sum(T.mul(h, h))
+
+        l1, l2 = losses()
+        T.backward(l1)
+        with pytest.raises(ValueError, match="already ran"):
+            T.backward(l2)
+        x.grad = None
+        T.backward(T.add(*losses()))
+
+        def build():
+            return T.add(*losses())
+
+        assert np.allclose(x.grad, fd_gradient(build, x), rtol=1e-3, atol=1e-4)
 
     def test_embedding_scatter_accumulates_repeats(self):
         table = T.parameter(np.zeros((4, 2), dtype=np.float32))
