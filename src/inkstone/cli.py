@@ -379,7 +379,8 @@ def main(argv=None) -> int:
         if code == 0 and getattr(args, "output", None):
             _write_manifest(args.output, args.command, argv, args)
         return code
-    except (DataError, FileNotFoundError, ValueError) as e:
+    except (DataError, FileNotFoundError, UnicodeDecodeError) as e:
+        # what the user can fix, a non-UTF-8 file included; a bare ValueError is a bug (exit 3)
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # anything unplanned

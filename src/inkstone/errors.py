@@ -22,6 +22,10 @@ class DatasetError(DataError):
     """Malformed or inconsistent dataset."""
 
 
+class InputError(DataError, ValueError):
+    """Token ids or a sequence length that a model or vocabulary cannot take."""
+
+
 class CheckpointError(DataError):
     """Unreadable, truncated, or inconsistent checkpoint file."""
 

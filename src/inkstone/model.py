@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, InputError
 
 MAGIC = b"ANCH"
 FORMAT_VERSION = 1
@@ -248,10 +248,8 @@ def _multi_head_attention(p, prefix: str, q_in, kv_in, add_mask, num_heads: int,
                         for old, new in zip(cache[prefix], (k, v)))
             cache[prefix] = (k.data, v.data)
 
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    if add_mask is not None:
-        scores = T.add(scores, T.Tensor(add_mask, dtype=scores.dtype.type))
-    probs = T.softmax(scores, axis=-1)
+    probs = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), axis=-1,
+                      scale=1.0 / np.sqrt(dh), mask=add_mask)
     if drop > 0.0:
         probs = T.dropout(probs, drop, rng)
     ctx = T.matmul(probs, v)
@@ -271,7 +269,7 @@ def _ffn(p, prefix: str, x, drop: float, rng) -> T.Tensor:
 
 
 def _residual_ln(p, prefix: str, x, sub) -> T.Tensor:
-    return T.layer_norm(T.add(x, sub), p[f"{prefix}.gamma"], p[f"{prefix}.beta"])
+    return T.layer_norm(x, p[f"{prefix}.gamma"], p[f"{prefix}.beta"], residual=sub)
 
 
 def _check_train_args(cfg: ModelConfig, train: bool, rng) -> float:
@@ -288,11 +286,11 @@ def _prep_ids(cfg: ModelConfig, ids) -> np.ndarray:
     if ids.ndim != 2:
         raise ValueError(f"ids must be (batch, length), got shape {ids.shape}")
     if ids.shape[1] > cfg.max_positions:
-        raise ValueError(
+        raise InputError(
             f"sequence length {ids.shape[1]} exceeds max_positions {cfg.max_positions}"
         )
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
-        raise ValueError(f"token id out of range for vocab of {cfg.vocab_size}")
+        raise InputError(f"token id out of range for vocab of {cfg.vocab_size}")
     return ids
 
 

@@ -34,6 +34,20 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
     t = state.t
     bc1 = 1.0 - beta1 ** t
     bc2 = 1.0 - beta2 ** t
+
+    def update(p, m, v, g, s):
+        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), in that operation order
+        s = s[:p.size]
+        if weight_decay != 0.0:
+            p -= np.multiply(p, np.float32(lr * weight_decay), out=s)
+        m *= beta1
+        m += np.multiply(g, 1.0 - beta1, out=s)
+        v *= beta2
+        v += np.multiply(np.multiply(g, g, out=s), 1.0 - beta2, out=s)
+        np.sqrt(np.divide(v, bc2, out=s), out=s)
+        s += eps
+        p -= np.multiply(np.divide(m / bc1, s, out=s), np.float32(lr), out=s)
+
     for name, g in grads.items():
         if name not in params:
             raise ValueError(f"gradient for unknown parameter {name}")
@@ -50,18 +64,10 @@ def adam_step(params: dict[str, Tensor], grads: dict[str, np.ndarray], state: Ad
         v = state.v[name]
         if m.shape != p.data.shape:
             raise ValueError(f"optimizer state shape mismatch for {name}")
-        # one scratch array, in the operation order of
-        # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-        s = np.empty_like(m)
-        if weight_decay != 0.0:
-            p.data -= np.multiply(p.data, np.float32(lr * weight_decay), out=s)
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=s)
-        v *= beta2
-        v += np.multiply(np.multiply(g, g, out=s), 1.0 - beta2, out=s)
-        np.sqrt(np.divide(v, bc2, out=s), out=s)
-        s += eps
-        p.data -= np.multiply(np.divide(m / bc1, s, out=s), np.float32(lr), out=s)
+        # over tiles of the flat arrays, which are views as the arrays are contiguous
+        assert p.data.flags.c_contiguous and m.flags.c_contiguous and v.flags.c_contiguous
+        flat = [a.reshape(-1) for a in (p.data, m, v, g)]
+        T._tiled(update, m.size, (*flat, np.empty(min(m.size, T._TILE), dtype=m.dtype)))
 
 
 def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:

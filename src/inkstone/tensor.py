@@ -11,6 +11,14 @@ that share a subgraph therefore need one backward(add(l1, l2)).
 Arrays are float32 by default; grad_check temporarily promotes the
 parameters it probes to float64 because float32 finite differences are
 too noisy to certify anything.
+
+Row-local chains are single nodes: softmax takes scale and mask
+(softmax(x * scale + mask)), layer_norm takes a residual it adds first,
+and dropout keeps a bool mask, so none of them stores an intermediate its
+backward does not read. softmax and layer_norm run over tiles of the
+leading axis, gelu and Adam over tiles of the flat array, each tile about
+_TILE elements so the passes over it stay in L2. The arithmetic, and so
+every bit of the result, is that of the whole-array formulas.
 """
 
 from __future__ import annotations
@@ -109,6 +117,31 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+# Elements per tile of the memory-bound kernels: a few float32 tiles of
+# 128 KB each stay resident in a 2 MB L2 between the passes over a tile.
+_TILE = 1 << 15
+
+
+def _tiled(kernel: Callable, rows: int, args: tuple, outs: Callable = tuple) -> tuple:
+    """Run kernel over tiles of about _TILE elements of args[0] and return its outputs.
+
+    If args[0] fits in one tile, kernel(*args) runs once and allocates its
+    outputs. Otherwise tiles split a leading axis of `rows` rows (rows 1
+    never splits), outs() allocates the outputs, and kernel(*arg_tiles,
+    *out_tiles) fills them; an arg without that axis goes whole to each tile.
+    """
+    first = args[0]
+    step = max(1, _TILE * rows // first.size) if first.size else rows
+    if step >= rows:
+        return kernel(*args)
+    full = outs()
+    for start in range(0, rows, step):
+        sl = slice(start, start + step)
+        kernel(*(a[sl] if a is not None and a.ndim == first.ndim and len(a) == rows else a
+                 for a in args), *(o[sl] for o in full))
+    return full
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -224,16 +257,41 @@ def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _result(data, (a,), backward_fn)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along one axis."""
+def softmax(x: Tensor, axis: int = -1, *, scale: float | None = None, mask=None) -> Tensor:
+    """Numerically stable softmax(x * scale + mask) along one axis, as one node.
+
+    mask is an additive array that broadcasts to x's shape.
+    """
     x = as_tensor(x)
-    s = x.data - x.data.max(axis=axis, keepdims=True)
-    np.exp(s, out=s)
-    s /= s.sum(axis=axis, keepdims=True)
+    d = x.data
+    c = None if scale is None else d.dtype.type(scale)
+    mask = None if mask is None else np.asarray(mask, dtype=d.dtype)
+    rows = d.shape[0] if d.ndim > 1 and axis % d.ndim != 0 else 1
+
+    def forward(z, mask, s=None):
+        if c is not None:
+            z = s = np.multiply(z, c, out=s)
+        if mask is not None:
+            z = s = np.add(z, mask, out=s)
+        s = np.subtract(z, z.max(axis=axis, keepdims=True), out=s)
+        np.exp(s, out=s)
+        s /= s.sum(axis=axis, keepdims=True)
+        return (s,)
+
+    s, = _tiled(forward, rows, (d, mask), lambda: (np.empty_like(d),))
+    if s.shape != d.shape:
+        raise ValueError(f"softmax mask {mask.shape} does not broadcast to {d.shape}")
 
     def backward_fn(g):
-        dot = (g * s).sum(axis=axis, keepdims=True)
-        return (s * (g - dot),)
+        def grad(s, g, gx=None):
+            gx = np.multiply(g, s, out=gx)
+            np.subtract(g, gx.sum(axis=axis, keepdims=True), out=gx)
+            gx *= s
+            if c is not None:
+                gx *= c
+            return (gx,)
+
+        return _tiled(grad, rows, (s, g), lambda: (np.empty_like(s),))
 
     return _result(s, (x,), backward_fn)
 
@@ -245,63 +303,102 @@ _GELU_C = 0.044715
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     x = as_tensor(x)
-    d = x.data
-    # t = tanh(K * (d + C * d * d * d)), finished in place in that operation order
-    t = _GELU_C * d * d * d
-    t += d
-    t *= _GELU_K
-    np.tanh(t, out=t)
-    out = 0.5 * d
-    out *= 1.0 + t
+    d = x.data.reshape(-1)
+
+    def forward(d, t=None, out=None):
+        # t = tanh(K * (d + C * d * d * d)), in that operation order
+        t = np.multiply(d, _GELU_C, out=t)
+        t *= d
+        t *= d
+        t += d
+        t *= _GELU_K
+        np.tanh(t, out=t)
+        out = np.multiply(d, 0.5, out=out)
+        out *= t + 1.0
+        return t, out
+
+    t, out = _tiled(forward, d.size, (d,), lambda: (np.empty_like(d), np.empty_like(d)))
 
     def backward_fn(g):
-        # dx = 0.5 * (1 + t) + 0.5 * d * (1 - t * t) * K * (1 + 3 * C * d * d)
-        dx = 3.0 * _GELU_C * d * d
-        dx += 1.0
-        dx *= _GELU_K
-        dx *= 0.5 * d * (1.0 - t * t)
-        dx += 0.5 * (1.0 + t)
-        dx *= g
-        return (dx,)
+        def grad(d, t, g, dx=None):
+            # dx = 0.5 * (1 + t) + 0.5 * d * (1 - t * t) * K * (1 + 3 * C * d * d)
+            dx = np.multiply(d, 3.0 * _GELU_C, out=dx)
+            dx *= d
+            dx += 1.0
+            dx *= _GELU_K
+            dx *= 0.5 * d * (1.0 - t * t)
+            dx += 0.5 * (1.0 + t)
+            dx *= g
+            return (dx,)
 
-    return _result(out, (x,), backward_fn)
+        dx, = _tiled(grad, d.size, (d, t, g.reshape(-1)), lambda: (np.empty_like(d),))
+        return (dx.reshape(x.data.shape),)
+
+    return _result(out.reshape(x.data.shape), (x,), backward_fn)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then affine."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
+               residual: Tensor | None = None) -> Tensor:
+    """Normalize the last axis of x (+ residual) to zero mean and unit variance, then affine.
+
+    With a residual the sum is a temporary of the forward, and x and
+    residual get the same gradient, as through add.
+    """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     n = x.data.shape[-1]
     if gamma.data.shape != (n,) or beta.data.shape != (n,):
         raise ValueError(
             f"layer_norm affine shape mismatch: x {x.shape}, gamma {gamma.shape}, beta {beta.shape}"
         )
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    out = xhat * xhat  # working buffer: the squares, then the output
-    inv = 1.0 / np.sqrt(out.mean(axis=-1, keepdims=True) + x.data.dtype.type(eps))
-    xhat *= inv
-    np.multiply(xhat, gamma.data, out=out)
-    out += beta.data
+    parents, d, r = (x, gamma, beta), x.data, None
+    if residual is not None:
+        residual = as_tensor(residual)
+        if residual.data.shape != d.shape:
+            raise ValueError(f"layer_norm residual {residual.shape} does not match x {x.shape}")
+        parents, r = parents + (residual,), residual.data
+    rows = d.shape[0] if d.ndim > 1 else 1
+    eps = d.dtype.type(eps)
+
+    def forward(d, r, xhat=None, out=None, inv=None):
+        # the residual sum lands in the xhat buffer and is centred there
+        z = d if r is None else np.add(d, r, out=xhat)
+        xhat = np.subtract(z, z.mean(axis=-1, keepdims=True), out=xhat if r is None else z)
+        out = np.multiply(xhat, xhat, out=out)  # working buffer: the squares, then the output
+        inv = np.divide(1.0, np.sqrt(out.mean(axis=-1, keepdims=True) + eps), out=inv)
+        xhat *= inv
+        np.multiply(xhat, gamma.data, out=out)
+        out += beta.data
+        return xhat, out, inv
+
+    xhat, out, inv = _tiled(forward, rows, (d, r), lambda: (
+        np.empty_like(d), np.empty_like(d), np.empty(d.shape[:-1] + (1,), dtype=d.dtype)))
 
     def backward_fn(g):
         gx = ggamma = gbeta = None
+        # reductions across rows stay whole: tiles would change their summation order
         lead = tuple(range(g.ndim - 1))
         buf = g * xhat
         if gamma.requires_grad:
             ggamma = buf.sum(axis=lead)
         if beta.requires_grad:
             gbeta = g.sum(axis=lead)
-        if x.requires_grad:
+
+        def grad(g, xhat, inv, buf, gx=None):
             # gx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-            gx = g * gamma.data
+            gx = np.multiply(g, gamma.data, out=gx)
             m1 = gx.mean(axis=-1, keepdims=True)
             np.multiply(gx, xhat, out=buf)
             np.multiply(xhat, buf.mean(axis=-1, keepdims=True), out=buf)
             gx -= m1
             gx -= buf
             gx *= inv
-        return (gx, ggamma, gbeta)
+            return (gx,)
 
-    return _result(out, (x, gamma, beta), backward_fn)
+        if x.requires_grad or (residual is not None and residual.requires_grad):
+            gx, = _tiled(grad, rows, (g, xhat, inv, buf), lambda: (np.empty_like(g),))
+        return (gx, ggamma, gbeta, gx)
+
+    return _result(out, parents, backward_fn)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -339,15 +436,23 @@ def gather(x: Tensor, index) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; draws one mask from rng per call."""
+    """Inverted dropout with a bool keep mask; draws one rng.random(x.shape) per call."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     x = as_tensor(x)
     if rate == 0.0:
         return x
-    keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype)
-    keep /= x.data.dtype.type(1.0 - rate)
-    return mul(x, Tensor(keep, dtype=x.data.dtype))
+    keep = rng.random(x.data.shape) >= rate
+    c = x.data.dtype.type(1.0) / x.data.dtype.type(1.0 - rate)
+    out = x.data * c
+    out *= keep
+
+    def backward_fn(g):
+        gx = g * c
+        gx *= keep
+        return (gx,)
+
+    return _result(out, (x,), backward_fn)
 
 
 def cross_entropy_masked(logits: Tensor, positions, label_ids) -> Tensor:
@@ -373,20 +478,26 @@ def cross_entropy_masked(logits: Tensor, positions, label_ids) -> Tensor:
     if label_ids.min() < 0 or label_ids.max() >= n_classes:
         raise ValueError(f"label id out of range for {n_classes} classes")
 
-    rows = logits.data[positions]
+    n = positions.size
+    # every labelled row in order (as in pretraining): no gathered copy, no scatter
+    identity = n == n_rows and np.array_equal(positions, np.arange(n))
+    rows = logits.data if identity else logits.data[positions]
     m = rows.max(axis=-1, keepdims=True)
-    shifted = rows - m
-    logz = np.log(np.exp(shifted).sum(axis=-1)) + m[:, 0]
-    picked = rows[np.arange(positions.size), label_ids]
+    e = rows - m
+    np.exp(e, out=e)
+    z = e.sum(axis=-1, keepdims=True)
+    logz = np.log(z[:, 0]) + m[:, 0]
+    picked = rows[np.arange(n), label_ids]
     losses = logz - picked
     out = np.asarray(losses.mean(), dtype=logits.data.dtype)
-    n = positions.size
 
     def backward_fn(g):
-        p = np.exp(shifted)
-        p /= p.sum(axis=-1, keepdims=True)
+        p = e  # the forward's exp, normalised in place: backward runs once
+        p /= z
         p[np.arange(n), label_ids] -= 1.0
         p *= np.asarray(g, dtype=p.dtype) / n
+        if identity:
+            return (p,)
         gl = np.zeros_like(logits.data)
         if np.unique(positions).size == n:
             gl[positions] = p  # np.add.at costs ~16x more on a wide vocab

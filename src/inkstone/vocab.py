@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import VocabError
+from .errors import InputError, VocabError
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
@@ -148,7 +148,7 @@ def encode(seq, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
     The body is truncated to max_len - 2 so the [SEP] always survives.
     """
     if max_len < 3:
-        raise ValueError(f"max_len must be at least 3, got {max_len}")
+        raise InputError(f"max_len must be at least 3, got {max_len}")
     tokens = list(seq.tokens) if isinstance(seq, TokenSequence) else list(seq)
     body = [vocab.id_of(t) for t in tokens[: max_len - 2]]
     ids = [vocab.cls_id] + body + [vocab.sep_id]
@@ -165,7 +165,7 @@ def decode(ids, vocab: Vocab) -> str:
     for raw in np.asarray(ids).reshape(-1):
         i = int(raw)
         if i < 0 or i >= len(vocab):
-            raise ValueError(f"token id {i} out of range for vocab of {len(vocab)}")
+            raise InputError(f"token id {i} out of range for vocab of {len(vocab)}")
         if i in specials:
             continue
         out.append(vocab.id_to_token[i])

@@ -159,3 +159,20 @@ def formula_adam(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_dec
     v += (1.0 - beta2) * (g * g)
     update = (m / bc1) / (np.sqrt(v / bc2) + eps)
     p -= np.float32(lr) * update.astype(p.dtype, copy=False)
+
+
+def formula_cross_entropy(logits, positions, label_ids):
+    """Mean NLL over distinct labelled rows and its gradient, as before the identity path."""
+    n = positions.size
+    rows = logits[positions]
+    m = rows.max(axis=-1, keepdims=True)
+    shifted = rows - m
+    logz = np.log(np.exp(shifted).sum(axis=-1)) + m[:, 0]
+    loss = np.asarray((logz - rows[np.arange(n), label_ids]).mean(), dtype=logits.dtype)
+    p = np.exp(shifted)
+    p /= p.sum(axis=-1, keepdims=True)
+    p[np.arange(n), label_ids] -= 1.0
+    p *= np.asarray(1.0, dtype=p.dtype) / n
+    grad = np.zeros_like(logits)
+    grad[positions] = p
+    return loss, grad

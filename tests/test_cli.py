@@ -46,6 +46,35 @@ class TestExitCodes:
     def test_bad_metric_arguments_are_data_errors(self, tmp_path):
         assert main(["score", "--metric", "bleu"]) == 2
 
+    def test_bare_value_error_inside_the_library_is_internal(self, workspace, monkeypatch):
+        import inkstone.vocab
+
+        def broken(tokens):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(inkstone.vocab, "build_vocab", broken)
+        assert main(["build-vocab", "--input", workspace["raw"],
+                     "--output", str(workspace["dir"] / "v.txt")]) == 3
+
+    def test_non_utf8_input_is_data_error(self, tmp_path):
+        (tmp_path / "raw.txt").write_bytes("春眠".encode("gbk"))
+        assert main(["build-vocab", "--input", str(tmp_path / "raw.txt"),
+                     "--output", str(tmp_path / "v.txt")]) == 2
+
+    def test_prompt_outside_the_checkpoint_vocab_is_data_error(self, tmp_path, capsys):
+        from inkstone import model, vocab
+
+        small = vocab.build_vocab(HANZI[:4])
+        cfg = model.ModelConfig(vocab_size=len(small), num_layers=1, hidden_size=8,
+                                num_heads=2, max_positions=16, decoder_layers=1)
+        model.save_checkpoint(model.build_model(cfg), tmp_path / "m.ckpt")
+        vocab.save_vocab(vocab.build_vocab(HANZI), tmp_path / "vocab.txt")
+        write(tmp_path / "prompts.txt", HANZI[-1] + "\n")
+        assert main(["generate", "--checkpoint", str(tmp_path / "m.ckpt"),
+                     "--vocab", str(tmp_path / "vocab.txt"), "--input",
+                     str(tmp_path / "prompts.txt"), "--output", str(tmp_path / "g.txt")]) == 2
+        assert "token id out of range" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_full_flow(self, workspace, capsys):

@@ -82,13 +82,22 @@ class TestAdam:
 
     @pytest.mark.parametrize("wd", [0.0, 0.01])
     def test_matches_the_array_formula_bit_for_bit(self, wd):
+        self.against_formula(wd, (4, 6))
+
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_matches_the_array_formula_over_tiles(self, wd):
+        # 40,000 elements: one full tile of the flat arrays, then a partial one
+        self.against_formula(wd, (250, 160))
+
+    @staticmethod
+    def against_formula(wd, shape):
         rng = np.random.default_rng(3)
-        p = parameter(rng.standard_normal((4, 6)).astype(np.float32))
+        p = parameter(rng.standard_normal(shape).astype(np.float32))
         ref_p = p.data.copy()
         ref_m, ref_v = np.zeros_like(ref_p), np.zeros_like(ref_p)
         state = AdamState()
         for t in range(1, 6):
-            g = (rng.standard_normal((4, 6)) * 10.0 ** -t).astype(np.float32)
+            g = (rng.standard_normal(shape) * 10.0 ** -t).astype(np.float32)
             adam_step({"p": p}, {"p": g}, state, lr=3e-3, weight_decay=wd)
             formula_adam(ref_p, g, ref_m, ref_v, t, lr=3e-3, weight_decay=wd)
             assert np.array_equal(p.data, ref_p)

@@ -6,11 +6,12 @@ never copied from the library under test.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from _reference import formula_gelu, formula_layer_norm, formula_softmax
+from _reference import formula_cross_entropy, formula_gelu, formula_layer_norm, formula_softmax
 from inkstone import tensor as T
 
 
@@ -173,16 +174,28 @@ class TestLinear:
             T.linear(x, T.Tensor(np.zeros((4, 4))), T.Tensor(np.zeros(4)))
 
 
+# One tile, and several: 5 leading rows split into tiles of 4 and 1 rows,
+# and 40,000 flat elements into a full tile and a partial one.
+SHAPES = [(3, 5, 16), (5, 40, 200)]
+
+
+def test_multi_tile_shape_spans_tiles():
+    rows, size = SHAPES[1][0], math.prod(SHAPES[1])
+    assert size > T._TILE and rows % max(1, T._TILE * rows // size) != 0
+
+
 class TestInPlaceKernels:
     """Each kernel against its earlier array formula (tests/_reference.py), bit for bit."""
+
+    shape = SHAPES[0]
 
     @pytest.fixture(params=[np.float32, np.float64])
     def dtype(self, request):
         return request.param
 
-    def inputs(self, rng, dtype, shape=(3, 5, 16), scale=3.0):
-        x = (rng.standard_normal(shape) * scale).astype(dtype)
-        return x, rng.standard_normal(shape).astype(dtype)
+    def inputs(self, rng, dtype, scale=3.0):
+        x = (rng.standard_normal(self.shape) * scale).astype(dtype)
+        return x, rng.standard_normal(self.shape).astype(dtype)
 
     @pytest.mark.parametrize("axis", [-1, 1])
     def test_softmax(self, rng, dtype, axis):
@@ -205,14 +218,141 @@ class TestInPlaceKernels:
 
     def test_layer_norm(self, rng, dtype):
         x0, g = self.inputs(rng, dtype)
-        gamma0 = rng.standard_normal(16).astype(dtype)
-        beta0 = rng.standard_normal(16).astype(dtype)
+        gamma0 = rng.standard_normal(self.shape[-1]).astype(dtype)
+        beta0 = rng.standard_normal(self.shape[-1]).astype(dtype)
         x, gamma, beta = (T.parameter(a, dtype=dtype) for a in (x0, gamma0, beta0))
         out = T.layer_norm(x, gamma, beta)
         backprop(out, g)
         want = formula_layer_norm(x0, gamma0, beta0, g)
         for got, expected in zip((out.data, x.grad, gamma.grad, beta.grad), want):
             assert np.array_equal(got, expected)
+
+
+class TestTiledKernels(TestInPlaceKernels):
+    """The same formulas on a shape that spans several tiles."""
+
+    shape = SHAPES[1]
+
+
+class TestFusedOps:
+    """Each fused node against the chain of ops it replaces, bit for bit."""
+
+    @pytest.fixture(params=[np.float32, np.float64])
+    def dtype(self, request):
+        return request.param
+
+    @pytest.fixture(params=SHAPES, ids=["one_tile", "tiles"])
+    def shape(self, request):
+        return request.param
+
+    @staticmethod
+    def masks(shape):
+        """A per-row key mask and a causal mask shared by every row."""
+        rows, q, k = shape
+        key = np.zeros((rows, 1, k), dtype=np.float32)
+        key[1:, :, k // 2:] = -1e9
+        causal = np.triu(np.full((q, k), -1e9, dtype=np.float32), k=1)[None]
+        return [key, causal]
+
+    def test_softmax_scale_mask_matches_the_chain(self, rng, dtype, shape):
+        c = 1.0 / np.sqrt(8)
+        for mask in [None] + self.masks(shape):
+            x0 = rng.standard_normal(shape).astype(dtype) * 4
+            g = rng.standard_normal(shape).astype(dtype)
+            x, y = T.parameter(x0, dtype=dtype), T.parameter(x0, dtype=dtype)
+            fused = T.softmax(x, axis=-1, scale=c, mask=mask)
+            chain = T.scale(y, c)
+            if mask is not None:
+                chain = T.add(chain, T.Tensor(mask, dtype=dtype))
+            chain = T.softmax(chain, axis=-1)
+            backprop(fused, g)
+            backprop(chain, g)
+            assert fused.dtype == dtype
+            assert np.array_equal(fused.data, chain.data)
+            assert np.array_equal(x.grad, y.grad)
+
+    def test_softmax_rejects_a_mask_that_grows_the_output(self):
+        with pytest.raises(ValueError, match="broadcast"):
+            T.softmax(T.Tensor(np.zeros((2, 3))), mask=np.zeros((4, 2, 3)))
+
+    def test_layer_norm_residual_matches_the_chain(self, rng, dtype, shape):
+        x0, r0, g = (rng.standard_normal(shape).astype(dtype) for _ in range(3))
+        gamma0, beta0 = (rng.standard_normal(shape[-1]).astype(dtype) for _ in range(2))
+        fused_in = [T.parameter(a, dtype=dtype) for a in (x0, r0, gamma0, beta0)]
+        chain_in = [T.parameter(a, dtype=dtype) for a in (x0, r0, gamma0, beta0)]
+        x, r, gamma, beta = fused_in
+        fused = T.layer_norm(x, gamma, beta, residual=r)
+        x, r, gamma, beta = chain_in
+        chain = T.layer_norm(T.add(x, r), gamma, beta)
+        backprop(fused, g)
+        backprop(chain, g)
+        assert np.array_equal(fused.data, chain.data)
+        for a, b in zip(fused_in, chain_in):
+            assert np.array_equal(a.grad, b.grad)
+
+    def test_layer_norm_residual_shape_mismatch(self):
+        with pytest.raises(ValueError, match="residual"):
+            T.layer_norm(T.Tensor(np.zeros((2, 4))), T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)),
+                         residual=T.Tensor(np.zeros((1, 4))))
+
+    @pytest.mark.parametrize("rate", [0.1, 0.5])
+    def test_dropout_matches_mul_by_a_float_mask(self, rng, dtype, shape, rate):
+        x0, g = (rng.standard_normal(shape).astype(dtype) for _ in range(2))
+        x0.reshape(-1)[:3] = (np.inf, -0.0, -1.0)
+        x, y = T.parameter(x0, dtype=dtype), T.parameter(x0, dtype=dtype)
+        fused = T.dropout(x, rate, np.random.default_rng(9))
+        keep = (np.random.default_rng(9).random(shape) >= rate).astype(dtype)
+        keep /= dtype(1.0 - rate)
+        chain = T.mul(y, T.Tensor(keep, dtype=dtype))
+        backprop(fused, g)
+        backprop(chain, g)
+        assert np.array_equal(fused.data, chain.data, equal_nan=True)
+        assert np.array_equal(np.signbit(fused.data), np.signbit(chain.data))
+        assert np.array_equal(x.grad, y.grad)
+
+    def test_dropout_is_one_node_holding_a_bool_mask(self, rng):
+        x = T.parameter(rng.standard_normal((4, 8)).astype(np.float32))
+        out = T.dropout(x, 0.5, rng)
+        assert out._parents == (x,)
+        held = [c.cell_contents for c in out._backward.__closure__]
+        masks = [a for a in held if isinstance(a, np.ndarray) and a.shape == x.shape]
+        assert [m.dtype for m in masks] == [np.bool_]
+
+    def test_dropout_advances_the_rng_as_one_uniform_draw(self, rng):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        T.dropout(T.Tensor(np.ones((3, 7, 5))), 0.2, a)
+        b.random((3, 7, 5))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_grad_check_softmax_scale_mask(self, rng):
+        x = T.parameter(rng.standard_normal((2, 3, 5)))
+        w = T.Tensor(rng.standard_normal((2, 3, 5)))
+        mask = self.masks((2, 3, 5))[0]
+
+        def build():
+            return T.reduce_sum(T.mul(T.softmax(x, axis=-1, scale=0.7, mask=mask), w))
+
+        assert T.grad_check(build, [x]) < 1e-4
+
+    def test_grad_check_layer_norm_residual(self, rng):
+        x, r = (T.parameter(rng.standard_normal((2, 3, 6))) for _ in range(2))
+        gamma = T.parameter(rng.standard_normal(6))
+        beta = T.parameter(rng.standard_normal(6))
+        w = T.Tensor(rng.standard_normal((2, 3, 6)))
+
+        def build():
+            return T.reduce_sum(T.mul(T.layer_norm(x, gamma, beta, residual=r), w))
+
+        assert T.grad_check(build, [x, r, gamma, beta]) < 1e-4
+
+    def test_grad_check_dropout(self, rng):
+        x = T.parameter(rng.standard_normal((3, 8)))
+        w = T.Tensor(rng.standard_normal((3, 8)))
+
+        def build():
+            return T.reduce_sum(T.mul(T.dropout(x, 0.3, np.random.default_rng(5)), w))
+
+        assert T.grad_check(build, [x]) < 1e-4
 
 
 class TestSoftmax:
@@ -327,6 +467,30 @@ class TestCrossEntropy:
             p[lab] -= 1.0
             want[pos] += p / len(positions)  # a repeated row gets both terms
         assert np.allclose(logits.grad, want, rtol=1e-5, atol=1e-7)
+
+    def test_identity_positions_match_the_general_path(self, rng):
+        rows, v = 64, 4096
+        logits0 = rng.standard_normal((rows, v)).astype(np.float32) * 3
+        labels = rng.integers(0, v, rows)
+        ident = T.parameter(logits0)
+        # one extra row the loss ignores sends the same rows down the general path
+        general = T.parameter(np.vstack([logits0, logits0[:1]]))
+        loss_i = T.cross_entropy_masked(ident, np.arange(rows), labels)
+        loss_g = T.cross_entropy_masked(general, np.arange(rows), labels)
+        assert np.array_equal(loss_i.data, loss_g.data)
+        tracemalloc.start()
+        try:
+            T.backward(loss_i)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        T.backward(loss_g)
+        assert np.array_equal(ident.grad, general.grad[:rows])
+        assert not general.grad[rows:].any()
+        want_loss, want_grad = formula_cross_entropy(logits0, np.arange(rows), labels)
+        assert np.array_equal(loss_i.data, want_loss) and np.array_equal(ident.grad, want_grad)
+        # normalised in the forward's exp buffer: no zero-filled (rows, V) array
+        assert peak < ident.data.nbytes / 2
 
     def test_empty_labels_raise(self):
         with pytest.raises(T.EmptyBatchError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from inkstone.errors import VocabError
+from inkstone.errors import DataError, VocabError
 from inkstone.vocab import (
     SPECIAL_TOKENS,
     build_vocab,
@@ -133,6 +133,13 @@ class TestDecode:
     def test_out_of_range_id_rejected(self, vocab):
         with pytest.raises(ValueError, match="out of range"):
             decode([len(vocab)], vocab)
+
+    def test_user_reachable_checks_are_data_errors(self, vocab):
+        # so the CLI reports them as bad input (exit 2), not as internal errors
+        with pytest.raises(DataError, match="out of range"):
+            decode([len(vocab)], vocab)
+        with pytest.raises(DataError, match="max_len"):
+            encode(["春"], vocab, max_len=2)
 
     def test_random_round_trip_property(self, vocab):
         rng = np.random.default_rng(11)
