@@ -1,13 +1,15 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-The compute graph is implicit: every operation returns a Tensor holding
-references to its parents and a closure that maps the output gradient to
-parent gradients. backward() walks that DAG once in reverse topological
-order, so each node's gradient is fully accumulated before it is used.
-backward() also consumes the graph: each node drops its parents and its
-closure once the closure has run, so activations are freed during the
-walk, and a second backward through the same graph raises. Two losses
-that share a subgraph therefore need one backward(add(l1, l2)).
+The graph is kept apart from the data. Every recorded op gives its output
+a _Node: edges to its inputs' nodes (or to the inputs themselves, when
+they are leaves or were recorded without grad) and a closure that maps
+the output gradient to theirs. A closure captures only the arrays, shapes
+and flags its formula reads, never a Tensor with a node, so no activation
+outlives its last reader. backward() walks the nodes once in reverse
+topological order, so each node's gradient is fully accumulated before it
+is used, and consumes them: a node drops its edges and closure once the
+closure has run, and a second backward through the same graph raises.
+Two losses that share a subgraph therefore need one backward(add(l1, l2)).
 Arrays are float32 by default; grad_check temporarily promotes the
 parameters it probes to float64 because float32 finite differences are
 too noisy to certify anything.
@@ -50,14 +52,21 @@ class EmptyBatchError(ValueError):
 class Tensor:
     """A dense float array plus the bookkeeping needed for backprop."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
         self.data = np.asarray(data, dtype=dtype)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple = ()
-        self._backward: Callable | None = None
+        self._node: _Node | None = None
+
+    @property
+    def _parents(self) -> tuple:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _backward(self) -> Callable | None:
+        return None if self._node is None else self._node._backward
 
     @property
     def shape(self) -> tuple:
@@ -83,6 +92,17 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
+class _Node:
+    """The graph vertex of one recorded op output: edges and closure, no data."""
+
+    __slots__ = ("_parents", "_backward")
+    requires_grad = True  # as the output it stands for, so backward walks nodes and leaves alike
+
+    def __init__(self, parents: tuple, backward_fn: Callable):
+        self._parents = parents
+        self._backward = backward_fn
+
+
 def parameter(data, dtype=np.float32) -> Tensor:
     """Wrap an array as a trainable leaf."""
     return Tensor(data, requires_grad=True, dtype=dtype)
@@ -101,8 +121,7 @@ def _result(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out.data = data
     out.grad = None
     out.requires_grad = record
-    out._parents = tuple(parents) if record else ()
-    out._backward = backward_fn if record else None
+    out._node = _Node(tuple([p._node or p for p in parents]), backward_fn) if record else None
     return out
 
 
@@ -147,9 +166,10 @@ def _tiled(kernel: Callable, rows: int, args: tuple, outs: Callable = tuple) -> 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def backward_fn(g):
-        return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+        return (_unbroadcast(g, sa), _unbroadcast(g, sb))
 
     return _result(data, (a, b), backward_fn)
 
@@ -157,10 +177,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data * b.data
+    ad, bd, ra, rb = a.data, b.data, a.requires_grad, b.requires_grad
 
     def backward_fn(g):
-        ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
-        gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
+        ga = _unbroadcast(g * bd, ad.shape) if ra else None
+        gb = _unbroadcast(g * ad, bd.shape) if rb else None
         return (ga, gb)
 
     return _result(data, (a, b), backward_fn)
@@ -186,13 +207,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     data = np.matmul(a.data, b.data)
+    ad, bd, ra, rb = a.data, b.data, a.requires_grad, b.requires_grad
 
     def backward_fn(g):
         ga = gb = None
-        if a.requires_grad:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.data.shape)
-        if b.requires_grad:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.data.shape)
+        if ra:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
+        if rb:
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
         return (ga, gb)
 
     return _result(data, (a, b), backward_fn)
@@ -205,17 +227,19 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"linear shape mismatch: x {x.shape}, w {w.shape}, b {b.shape}")
     data = np.matmul(x.data, w.data)
     data += b.data
+    xd, wd, sb = x.data, w.data, b.data.shape
+    rx, rw, rb = x.requires_grad, w.requires_grad, b.requires_grad
 
     def backward_fn(g):
         gx = gw = gb = None
-        if x.requires_grad:
-            gx = np.matmul(g, w.data.T)
-        if w.requires_grad:
+        if rx:
+            gx = np.matmul(g, wd.T)
+        if rw:
             # one GEMM over every leading row, not a batched product then a sum
-            k, n = w.data.shape
-            gw = x.data.reshape(-1, k).T @ g.reshape(-1, n)
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
+            k, n = wd.shape
+            gw = xd.reshape(-1, k).T @ g.reshape(-1, n)
+        if rb:
+            gb = _unbroadcast(g, sb)
         return (gx, gw, gb)
 
     return _result(data, (x, w, b), backward_fn)
@@ -246,13 +270,12 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     a = as_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape, dtype = a.data.shape, a.data.dtype
 
     def backward_fn(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.data.shape).astype(a.data.dtype, copy=True),)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
 
     return _result(data, (a,), backward_fn)
 
@@ -303,7 +326,7 @@ _GELU_C = 0.044715
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     x = as_tensor(x)
-    d = x.data.reshape(-1)
+    shape, d = x.data.shape, x.data.reshape(-1)
 
     def forward(d, t=None, out=None):
         # t = tanh(K * (d + C * d * d * d)), in that operation order
@@ -332,9 +355,9 @@ def gelu(x: Tensor) -> Tensor:
             return (dx,)
 
         dx, = _tiled(grad, d.size, (d, t, g.reshape(-1)), lambda: (np.empty_like(d),))
-        return (dx.reshape(x.data.shape),)
+        return (dx.reshape(shape),)
 
-    return _result(out.reshape(x.data.shape), (x,), backward_fn)
+    return _result(out.reshape(shape), (x,), backward_fn)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
@@ -358,13 +381,18 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
         parents, r = parents + (residual,), residual.data
     rows = d.shape[0] if d.ndim > 1 else 1
     eps = d.dtype.type(eps)
+    gd, rg, rb = gamma.data, gamma.requires_grad, beta.requires_grad
+    rx = x.requires_grad or (residual is not None and residual.requires_grad)
+
+    def mean(a):  # a.mean(axis=-1, keepdims=True), bit for bit, without its Python overhead
+        return np.add.reduce(a, axis=-1, keepdims=True) / n
 
     def forward(d, r, xhat=None, out=None, inv=None):
         # the residual sum lands in the xhat buffer and is centred there
         z = d if r is None else np.add(d, r, out=xhat)
-        xhat = np.subtract(z, z.mean(axis=-1, keepdims=True), out=xhat if r is None else z)
+        xhat = np.subtract(z, mean(z), out=xhat if r is None else z)
         out = np.multiply(xhat, xhat, out=out)  # working buffer: the squares, then the output
-        inv = np.divide(1.0, np.sqrt(out.mean(axis=-1, keepdims=True) + eps), out=inv)
+        inv = np.divide(1.0, np.sqrt(mean(out) + eps), out=inv)
         xhat *= inv
         np.multiply(xhat, gamma.data, out=out)
         out += beta.data
@@ -378,23 +406,23 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
         # reductions across rows stay whole: tiles would change their summation order
         lead = tuple(range(g.ndim - 1))
         buf = g * xhat
-        if gamma.requires_grad:
+        if rg:
             ggamma = buf.sum(axis=lead)
-        if beta.requires_grad:
+        if rb:
             gbeta = g.sum(axis=lead)
 
         def grad(g, xhat, inv, buf, gx=None):
             # gx = inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
-            gx = np.multiply(g, gamma.data, out=gx)
-            m1 = gx.mean(axis=-1, keepdims=True)
+            gx = np.multiply(g, gd, out=gx)
+            m1 = mean(gx)
             np.multiply(gx, xhat, out=buf)
-            np.multiply(xhat, buf.mean(axis=-1, keepdims=True), out=buf)
+            np.multiply(xhat, mean(buf), out=buf)
             gx -= m1
             gx -= buf
             gx *= inv
             return (gx,)
 
-        if x.requires_grad or (residual is not None and residual.requires_grad):
+        if rx:
             gx, = _tiled(grad, rows, (g, xhat, inv, buf), lambda: (np.empty_like(g),))
         return (gx, ggamma, gbeta, gx)
 
@@ -426,9 +454,10 @@ def gather(x: Tensor, index) -> Tensor:
     """
     x = as_tensor(x)
     data = x.data[index]
+    shape, dtype = x.data.shape, x.data.dtype
 
     def backward_fn(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype)
         np.add.at(gx, index, g)
         return (gx,)
 
@@ -489,7 +518,8 @@ def cross_entropy_masked(logits: Tensor, positions, label_ids) -> Tensor:
     logz = np.log(z[:, 0]) + m[:, 0]
     picked = rows[np.arange(n), label_ids]
     losses = logz - picked
-    out = np.asarray(losses.mean(), dtype=logits.data.dtype)
+    logits_dtype = logits.data.dtype
+    out = np.asarray(np.add.reduce(losses) / n, dtype=logits_dtype)
 
     def backward_fn(g):
         p = e  # the forward's exp, normalised in place: backward runs once
@@ -498,7 +528,7 @@ def cross_entropy_masked(logits: Tensor, positions, label_ids) -> Tensor:
         p *= np.asarray(g, dtype=p.dtype) / n
         if identity:
             return (p,)
-        gl = np.zeros_like(logits.data)
+        gl = np.zeros((n_rows, n_classes), logits_dtype)
         if np.unique(positions).size == n:
             gl[positions] = p  # np.add.at costs ~16x more on a wide vocab
         else:
@@ -516,9 +546,10 @@ def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every trainable leaf, consuming the graph."""
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
-    topo: list[Tensor] = []
+    root = loss._node or loss
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -532,10 +563,8 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    while topo:
-        # popping, so the list does not keep a finished node's data alive
-        node = topo.pop()
+    grads: dict[int, np.ndarray] = {id(root): np.ones_like(loss.data)}
+    for node in reversed(topo):
         g = grads.pop(id(node), None)
         if g is None:
             continue
@@ -558,7 +587,7 @@ def backward(loss: Tensor) -> None:
 def _graph_leaves(loss: Tensor) -> list[Tensor]:
     leaves: list[Tensor] = []
     seen: set[int] = set()
-    stack = [loss]
+    stack = [loss._node or loss]
     while stack:
         node = stack.pop()
         if id(node) in seen:

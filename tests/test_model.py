@@ -10,7 +10,9 @@ import pytest
 from _reference import ref_decoder_logits, ref_encoder_hidden
 from inkstone import model
 from inkstone import tensor as T
+from inkstone.corpus import ParallelExample
 from inkstone.errors import CheckpointError, ConfigError
+from inkstone.finetune import seq2seq_loss
 from inkstone.model import (
     Checkpoint,
     ModelConfig,
@@ -28,6 +30,7 @@ from inkstone.model import (
     parameter_spec,
     save_checkpoint,
 )
+from inkstone.vocab import TokenSequence, build_vocab
 
 
 def toy_config(**overrides) -> ModelConfig:
@@ -445,3 +448,42 @@ class TestSeq2SeqInit:
     def test_zero_layers_rejected(self, enc_ckpt):
         with pytest.raises(ConfigError, match="decoder_layers"):
             init_seq2seq_from_encoder(enc_ckpt, 0)
+
+
+def held_op_outputs(loss):
+    """The op-output Tensors that an edge or a backward-closure cell of loss's graph holds."""
+    held, seen, stack = [], set(), [loss]
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        cells = [c.cell_contents for c in (getattr(v._backward, "__closure__", None) or ())]
+        held += [t for t in (*v._parents, *cells)
+                 if isinstance(t, T.Tensor) and t._backward is not None]
+        stack.extend(v._parents)
+    return held
+
+
+class TestGraphHoldsNoActivations:
+    def test_mlm_training_graph(self):
+        cfg = toy_config(dropout_rate=0.1, num_layers=2)
+        ckpt = build_model(cfg, init_seed=5)
+        ensure_mlm_head(ckpt, init_seed=6)
+        rng = np.random.default_rng(7)
+        ids = rng.integers(5, 20, size=(3, 8))
+        out = encoder_forward(ckpt, ids, np.ones((3, 8)), train=True, rng=rng)
+        labelled = T.gather(out.hidden, (np.array([0, 1, 2, 2]), np.array([1, 3, 0, 7])))
+        loss = T.cross_entropy_masked(mlm_head(ckpt, labelled), np.arange(4), [5, 9, 6, 11])
+        assert held_op_outputs(loss) == []
+
+    def test_seq2seq_training_graph(self):
+        chars = [chr(c) for c in range(0x4E00, 0x4E00 + 10)]
+        vocab = build_vocab(chars)
+        ckpt = build_model(toy_config(vocab_size=len(vocab), dropout_rate=0.1,
+                                      decoder_layers=1), init_seed=5)
+        pairs = [ParallelExample(TokenSequence(chars[i:i + 3]), TokenSequence(chars[i:i + 2]),
+                                 "AMCT") for i in range(3)]
+        loss = seq2seq_loss(ckpt, vocab, pairs, max_len=6, train=True,
+                            rng=np.random.default_rng(7))
+        assert held_op_outputs(loss) == []

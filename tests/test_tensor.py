@@ -7,6 +7,7 @@ never copied from the library under test.
 
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -591,6 +592,53 @@ class TestBackward:
         assert np.array_equal(table.grad[1], np.array([2.0, 2.0], dtype=np.float32))
         assert np.array_equal(table.grad[3], np.array([1.0, 1.0], dtype=np.float32))
         assert np.array_equal(table.grad[0], np.zeros(2, dtype=np.float32))
+
+
+class TestSavedArrays:
+    """An op's input array lives only as long as its caller or a backward formula needs it."""
+
+    @staticmethod
+    def run(build, drop):
+        """Build, keeping the watched Tensor in a list unless drop; check its array, backprop."""
+        kept = None if drop else []
+        ref, loss, params = build(kept)
+        assert (ref() is None) == drop
+        T.backward(loss)
+        return [p.grad for p in params]
+
+    def test_scores_are_freed_after_softmax(self, rng):
+        q0, k0, w0 = (rng.standard_normal(s).astype(np.float32)
+                      for s in ((2, 4, 3), (2, 3, 4), (2, 4, 4)))
+
+        def build(kept):
+            q, k = T.parameter(q0), T.parameter(k0)
+            scores = T.matmul(q, k)
+            ref = weakref.ref(scores.data)
+            probs = T.softmax(scores, scale=0.5)
+            if kept is not None:
+                kept.append(scores)
+            del scores
+            return ref, T.reduce_sum(T.mul(probs, T.Tensor(w0))), (q, k)
+
+        for a, b in zip(self.run(build, True), self.run(build, False)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("positions", [[0, 1, 2, 3], [3, 0, 2]])
+    def test_logits_are_freed_after_cross_entropy(self, rng, positions):
+        h0, w0, b0 = (rng.standard_normal(s).astype(np.float32) for s in ((4, 3), (3, 6), (6,)))
+
+        def build(kept):
+            h, w, b = T.parameter(h0), T.parameter(w0), T.parameter(b0)
+            logits = T.linear(h, w, b)
+            ref = weakref.ref(logits.data)
+            loss = T.cross_entropy_masked(logits, positions, [1, 5, 0, 2][:len(positions)])
+            if kept is not None:
+                kept.append(logits)
+            del logits
+            return ref, loss, (h, w, b)
+
+        for a, b in zip(self.run(build, True), self.run(build, False)):
+            assert np.array_equal(a, b)
 
 
 class TestGather:
