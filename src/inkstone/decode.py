@@ -22,7 +22,7 @@ from . import tensor as T
 from .corpus import read_lines
 from .errors import ConfigError
 from .model import Checkpoint, decoder_forward, encoder_forward, select_cache_rows
-from .vocab import Vocab, decode as decode_ids, encode, tokenize
+from .vocab import Vocab, decode as decode_ids, encode_batch, tokenize
 
 StepFn = Callable[[Sequence[Sequence[int]]], np.ndarray]
 
@@ -120,9 +120,10 @@ def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source,
         source = tokenize(source)
     positions = ckpt.config.max_positions
     # [CLS] body [SEP] at its own length; encode needs room for one body token
-    source_ids, source_mask = encode(source, vocab, min(max(len(source), 1) + 2, positions))
+    source_ids, source_mask = encode_batch([source], vocab,
+                                           min(max(len(source), 1) + 2, positions))
     with T.no_grad():
-        enc_hidden = encoder_forward(ckpt, source_ids[None, :], source_mask[None, :]).hidden
+        enc_hidden = encoder_forward(ckpt, source_ids, source_mask).hidden
     suppress = [vocab.cls_id, vocab.pad_id]
     bos = vocab.cls_id
     cache: dict = {}
@@ -138,7 +139,7 @@ def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source,
                 cache = select_cache_rows(cache, parents)
         ids = [[p[-1] if len(p) else bos] for p in prefixes]
         with T.no_grad():
-            logits = decoder_forward(ckpt, ids, enc_hidden, source_mask[None, :], cache=cache)
+            logits = decoder_forward(ckpt, ids, enc_hidden, source_mask, cache=cache)
         rows = {tuple(p): i for i, p in enumerate(prefixes)}
         scores = logits.data[:, -1].astype(np.float64)
         scores -= scores.max(axis=1, keepdims=True)

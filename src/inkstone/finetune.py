@@ -9,7 +9,7 @@ best dev metric (ties go to the later epoch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ from .model import (
     parameter_spec,
 )
 from .optim import AdamState, noam_lr, train_step
-from .vocab import Vocab, encode, tokenize
+from .vocab import Vocab, encode_batch, tokenize
 
 
 @dataclass
@@ -58,9 +58,6 @@ class Seq2SeqTaskConfig:
     batch_size: int = 30
     decoder_layers: int = 4
     warmup_steps: int = 4000
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-9
     dropout: float = 0.1
     epochs: int = 10
     bleu_n: int = 4
@@ -78,6 +75,9 @@ class Seq2SeqTaskConfig:
         return self
 
 
+# Adam settings of the Transformer's Noam-scheduled training
+SEQ2SEQ_ADAM = {"beta1": 0.9, "beta2": 0.98, "eps": 1e-9}
+
 # batch size, decoder depth, BLEU order per generation task
 TASK_DEFAULTS: dict[str, dict] = {
     "AMCT": {"batch_size": 30, "decoder_layers": 4, "bleu_n": 4},
@@ -90,13 +90,17 @@ ALL_TASKS = ("PTC",) + GENERATION_TASKS
 
 
 def resolve_task_config(task: str, **overrides):
-    """Resolve per-task defaults into a config object."""
+    """Resolve per-task defaults into a config object; an override the task lacks is an error."""
     if task == "PTC":
-        return ClsTaskConfig(**overrides).validate()
-    if task not in TASK_DEFAULTS:
+        cls, merged = ClsTaskConfig, overrides
+    elif task in TASK_DEFAULTS:
+        cls, merged = Seq2SeqTaskConfig, {"task": task, **TASK_DEFAULTS[task], **overrides}
+    else:
         raise ConfigError(f"unknown task {task!r}, expected one of {ALL_TASKS}")
-    merged = {"task": task, **TASK_DEFAULTS[task], **overrides}
-    return Seq2SeqTaskConfig(**merged).validate()
+    unknown = sorted(set(overrides) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"task {task} does not take option(s) {', '.join(unknown)}")
+    return cls(**merged).validate()
 
 
 def _fit(ckpt: Checkpoint, n: int, batch_size: int, epochs: int,
@@ -137,10 +141,8 @@ def classify(ckpt: Checkpoint, vocab: Vocab, texts: Sequence[str],
     preds: list[int] = []
     with T.no_grad():
         for lo in range(0, len(texts), batch_size):
-            chunk = texts[lo : lo + batch_size]
-            enc = [encode(tokenize(t), vocab, max_len) for t in chunk]
-            ids = np.stack([e[0] for e in enc])
-            mask = np.stack([e[1] for e in enc])
+            ids, mask = encode_batch([tokenize(t) for t in texts[lo : lo + batch_size]],
+                                     vocab, max_len)
             out = encoder_forward(ckpt, ids, mask)
             logits = cls_head(ckpt, out.pooled).data
             preds.extend(int(i) for i in logits.argmax(axis=-1))
@@ -168,15 +170,12 @@ def finetune_classifier(encoder_ckpt: Checkpoint, vocab: Vocab,
     rng = np.random.default_rng(cfg.seed)
     max_len = min(cfg.max_len, ckpt.config.max_positions)
 
-    encoded = [encode(tokenize(t), vocab, max_len) for t, _ in train_data]
-    ids_all = np.stack([e[0] for e in encoded])
-    mask_all = np.stack([e[1] for e in encoded])
+    ids_all, mask_all = encode_batch([tokenize(t) for t, _ in train_data], vocab, max_len)
     labels_all = np.array([lab for _, lab in train_data], dtype=np.int64)
-    train_mode = cfg.dropout > 0.0
 
     def batch_loss(idx):
-        out = encoder_forward(ckpt, ids_all[idx], mask_all[idx], train=train_mode, rng=rng)
-        logits = cls_head(ckpt, out.pooled, train=train_mode, rng=rng)
+        out = encoder_forward(ckpt, ids_all[idx], mask_all[idx], rng=rng)
+        logits = cls_head(ckpt, out.pooled, rng=rng)
         return T.cross_entropy_masked(logits, np.arange(idx.size), labels_all[idx])
 
     def dev_accuracy():
@@ -190,31 +189,24 @@ def finetune_classifier(encoder_ckpt: Checkpoint, vocab: Vocab,
 
 def _teacher_forced_batch(pairs: Sequence[ParallelExample], vocab: Vocab,
                           max_len: int):
-    """Encode sources and build decoder inputs/labels with padding."""
-    src = [encode(p.source, vocab, max_len) for p in pairs]
-    src_ids = np.stack([s[0] for s in src])
-    src_mask = np.stack([s[1] for s in src])
-    tgt_tokens = [[vocab.id_of(t) for t in p.target] for p in pairs]
-    t_max = max(len(t) for t in tgt_tokens) + 1
-    dec_in = np.full((len(pairs), t_max), vocab.pad_id, dtype=np.int64)
-    rows, cols, labels = [], [], []
-    for i, toks in enumerate(tgt_tokens):
-        dec_in[i, 0] = vocab.cls_id
-        dec_in[i, 1 : 1 + len(toks)] = toks
-        for j, lab in enumerate(toks + [vocab.sep_id]):
-            rows.append(i)
-            cols.append(j)
-            labels.append(lab)
-    return src_ids, src_mask, dec_in, np.array(rows), np.array(cols), np.array(labels)
+    """Encode sources and targets; the decoder reads [CLS] body and predicts body [SEP]."""
+    src_ids, src_mask = encode_batch([p.source for p in pairs], vocab, max_len)
+    # a spare last column keeps encode's minimum length of 3 when every target is empty
+    tgt_ids, tgt_mask = encode_batch([p.target for p in pairs], vocab,
+                                     max(len(p.target) for p in pairs) + 3)
+    keep = tgt_mask[:, 1:-1]
+    dec_in = np.where(keep == 1, tgt_ids[:, :-2], vocab.pad_id)
+    rows, cols = np.nonzero(keep)
+    return src_ids, src_mask, dec_in, rows, cols, tgt_ids[:, 1:-1][rows, cols]
 
 
 def seq2seq_loss(ckpt: Checkpoint, vocab: Vocab, pairs: Sequence[ParallelExample],
-                 max_len: int, train: bool = False, rng=None) -> T.Tensor:
-    """Mean token NLL under teacher forcing; padding is excluded."""
+                 max_len: int, rng=None) -> T.Tensor:
+    """Mean token NLL under teacher forcing; padding is excluded; an rng turns on dropout."""
     src_ids, src_mask, dec_in, rows, cols, labels = _teacher_forced_batch(
         pairs, vocab, max_len)
-    enc = encoder_forward(ckpt, src_ids, src_mask, train=train, rng=rng)
-    logits = decoder_forward(ckpt, dec_in, enc.hidden, src_mask, train=train, rng=rng)
+    enc = encoder_forward(ckpt, src_ids, src_mask, rng=rng)
+    logits = decoder_forward(ckpt, dec_in, enc.hidden, src_mask, rng=rng)
     t_len = dec_in.shape[1]
     flat = T.reshape(logits, (len(pairs) * t_len, len(vocab)))
     return T.cross_entropy_masked(flat, rows * t_len + cols, labels)
@@ -257,7 +249,6 @@ def finetune_seq2seq(encoder_ckpt: Checkpoint, vocab: Vocab,
     rng = np.random.default_rng(cfg.seed)
     d_model = ckpt.config.hidden_size
     pairs = list(train_pairs)
-    train_mode = cfg.dropout > 0.0
     # frozen leaves record no graph, so the encoder backward is never run
     frozen = ([ckpt.params[k] for k in parameter_spec(encoder_ckpt.config)]
               if cfg.freeze_encoder else [])
@@ -265,13 +256,12 @@ def finetune_seq2seq(encoder_ckpt: Checkpoint, vocab: Vocab,
         p.requires_grad = False
 
     def batch_loss(idx):
-        return seq2seq_loss(ckpt, vocab, [pairs[i] for i in idx], max_len,
-                            train=train_mode, rng=rng)
+        return seq2seq_loss(ckpt, vocab, [pairs[i] for i in idx], max_len, rng=rng)
 
     history = _fit(ckpt, len(pairs), cfg.batch_size, cfg.epochs, rng, batch_loss,
                    lambda step: noam_lr(step, cfg.warmup_steps, d_model),
                    lambda: dev_bleu(ckpt, vocab, dev_pairs, cfg.bleu_n, cfg.max_decode_len),
-                   beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+                   **SEQ2SEQ_ADAM)
     for p in frozen:
         p.requires_grad = True
     return ckpt, history

@@ -272,11 +272,9 @@ def _residual_ln(p, prefix: str, x, sub) -> T.Tensor:
     return T.layer_norm(x, p[f"{prefix}.gamma"], p[f"{prefix}.beta"], residual=sub)
 
 
-def _check_train_args(cfg: ModelConfig, train: bool, rng) -> float:
-    drop = cfg.dropout_rate if train else 0.0
-    if drop > 0.0 and rng is None:
-        raise ValueError("training-mode forward with dropout needs an rng")
-    return drop
+def _key_mask(mask: np.ndarray) -> np.ndarray:
+    """(batch, length) 0/1 key mask to additive (batch, 1, 1, length) scores."""
+    return ((1 - mask) * NEG_INF).astype(np.float32)[:, None, None, :]
 
 
 def _prep_ids(cfg: ModelConfig, ids) -> np.ndarray:
@@ -295,8 +293,12 @@ def _prep_ids(cfg: ModelConfig, ids) -> np.ndarray:
 
 
 def encoder_forward(ckpt: Checkpoint, ids, attention_mask=None, segment_ids=None,
-                    train: bool = False, rng=None) -> EncoderOutput:
-    """Run the encoder stack; masked keys get NEG_INF attention scores."""
+                    rng=None) -> EncoderOutput:
+    """Run the encoder stack; masked keys get NEG_INF attention scores.
+
+    Given an rng, this is a training forward that applies the config's
+    dropout with draws from rng; without one it is an eval forward.
+    """
     cfg = ckpt.config
     p = ckpt.params
     ids = _prep_ids(cfg, ids)
@@ -307,7 +309,7 @@ def encoder_forward(ckpt: Checkpoint, ids, attention_mask=None, segment_ids=None
     if segment_ids is None:
         segment_ids = np.zeros_like(ids)
     segment_ids = np.asarray(segment_ids, dtype=np.int64).reshape(batch, length)
-    drop = _check_train_args(cfg, train, rng)
+    drop = cfg.dropout_rate if rng is not None else 0.0
 
     h = T.add(
         T.add(T.embedding(p["emb.token"], ids), T.embedding(p["emb.pos"], np.arange(length))),
@@ -316,7 +318,7 @@ def encoder_forward(ckpt: Checkpoint, ids, attention_mask=None, segment_ids=None
     if drop > 0.0:
         h = T.dropout(h, drop, rng)
 
-    add_mask = ((1 - attention_mask) * NEG_INF).astype(np.float32)[:, None, None, :]
+    add_mask = _key_mask(attention_mask)
     for i in range(cfg.num_layers):
         attn = _multi_head_attention(p, f"enc.{i}.attn", h, h, add_mask,
                                      cfg.num_heads, drop, rng)
@@ -326,8 +328,10 @@ def encoder_forward(ckpt: Checkpoint, ids, attention_mask=None, segment_ids=None
 
 
 def decoder_forward(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
-                    train: bool = False, rng=None, cache: dict | None = None) -> T.Tensor:
+                    rng=None, cache: dict | None = None) -> T.Tensor:
     """Causal self-attention plus cross-attention; returns (B, T, V) logits.
+
+    As in encoder_forward, an rng makes this a training forward with dropout.
 
     cache, for inference only, decodes incrementally: pass an empty dict
     on the first call and the same dict after that. target_ids then holds
@@ -341,7 +345,7 @@ def decoder_forward(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
     cfg = ckpt.config
     if cfg.decoder_layers < 1:
         raise ConfigError("checkpoint has no decoder (decoder_layers is 0)")
-    if cache is not None and train:
+    if cache is not None and rng is not None:
         raise ValueError("the decoder cache is for inference only")
     p = ckpt.params
     ids = _prep_ids(cfg, target_ids)
@@ -353,7 +357,7 @@ def decoder_forward(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
     source_mask = np.asarray(source_mask, dtype=np.int64)
     if source_mask.ndim == 1:
         source_mask = source_mask[None, :]
-    drop = _check_train_args(cfg, train, rng)
+    drop = cfg.dropout_rate if rng is not None else 0.0
 
     h = T.add(T.embedding(p["dec.emb.token"], ids),
               T.embedding(p["dec.emb.pos"], np.arange(past, past + t_len)))
@@ -362,7 +366,7 @@ def decoder_forward(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
 
     causal = np.triu(np.full((t_len, past + t_len), NEG_INF, dtype=np.float32),
                      k=past + 1)[None, None]
-    cross = ((1 - source_mask) * NEG_INF).astype(np.float32)[:, None, None, :]
+    cross = _key_mask(source_mask)
     cross_in = None if past else encoder_hidden
     for i in range(cfg.decoder_layers):
         self_attn = _multi_head_attention(p, f"dec.{i}.self_attn", h, h, causal,
@@ -395,12 +399,15 @@ def mlm_head(ckpt: Checkpoint, hidden: T.Tensor) -> T.Tensor:
     return T.linear(t, T.transpose(p["emb.token"], (1, 0)), p["mlm.out_bias"])
 
 
-def cls_head(ckpt: Checkpoint, pooled: T.Tensor, train: bool = False, rng=None) -> T.Tensor:
-    """Linear classification logits over the pooled vector; (B, C)."""
+def cls_head(ckpt: Checkpoint, pooled: T.Tensor, rng=None) -> T.Tensor:
+    """Linear classification logits over the pooled vector; (B, C).
+
+    Given an rng, the pooled vector first takes the config's dropout.
+    """
     p = ckpt.params
     if "cls.w" not in p:
         raise ConfigError("checkpoint has no classifier head; call ensure_cls_head first")
-    drop = _check_train_args(ckpt.config, train, rng)
+    drop = ckpt.config.dropout_rate if rng is not None else 0.0
     if drop > 0.0:
         pooled = T.dropout(pooled, drop, rng)
     return T.linear(pooled, p["cls.w"], p["cls.b"])

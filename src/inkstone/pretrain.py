@@ -29,7 +29,7 @@ from .model import (
     save_checkpoint,
 )
 from .optim import AdamState, train_step
-from .vocab import Vocab, encode, tokenize
+from .vocab import Vocab, encode_batch, tokenize
 
 
 @dataclass
@@ -63,12 +63,9 @@ class MaskedBatch:
 
 def apply_mlm_mask(ids, vocab: Vocab, cfg: MaskingConfig,
                    rng: np.random.Generator) -> MaskedBatch:
-    """Corrupt a batch of encoded sequences for MLM training."""
+    """Corrupt a (batch, length) array of encoded ids for MLM training."""
     cfg.validate()
     ids = np.asarray(ids, dtype=np.int64)
-    squeeze = ids.ndim == 1
-    if squeeze:
-        ids = ids[None, :]
     attention_mask = (ids != vocab.pad_id).astype(np.int64)
 
     special_ids = np.array(sorted(vocab.special_ids), dtype=np.int64)
@@ -92,8 +89,8 @@ def apply_mlm_mask(ids, vocab: Vocab, cfg: MaskingConfig,
         corrupted[rows[to_random], cols[to_random]] = draws
 
     return MaskedBatch(
-        input_ids=corrupted[0] if squeeze else corrupted,
-        attention_mask=attention_mask[0] if squeeze else attention_mask,
+        input_ids=corrupted,
+        attention_mask=attention_mask,
         label_rows=rows,
         label_cols=cols,
         label_ids=originals,
@@ -126,19 +123,14 @@ class PretrainConfig:
 
 def chunk_corpus(texts: Iterable[str], vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Tokenize documents and encode non-overlapping max_len-2 chunks."""
-    all_ids, all_masks = [], []
-    for text in texts:
-        tokens = tokenize(text).tokens
-        if not tokens:
-            continue
-        body = max_len - 2
-        for start in range(0, len(tokens), body):
-            ids, mask = encode(tokens[start : start + body], vocab, max_len)
-            all_ids.append(ids)
-            all_masks.append(mask)
-    if not all_ids:
+    body = max_len - 2
+    # generators, so only one document's tokens are alive at a time
+    docs = (tokenize(text).tokens for text in texts)
+    ids, mask = encode_batch((tokens[start : start + body] for tokens in docs
+                              for start in range(0, len(tokens), body)), vocab, max_len)
+    if not len(ids):
         raise DatasetError("corpus produced no usable chunks")
-    return np.stack(all_ids), np.stack(all_masks)
+    return ids, mask
 
 
 def _mask_batch_nonempty(ids, vocab, masking, rng) -> MaskedBatch:
@@ -204,9 +196,7 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
             idx = np.array(take)
 
             batch = _mask_batch_nonempty(pool_ids[idx], vocab, cfg.masking, rng)
-            train = model_cfg.dropout_rate > 0.0
-            out = encoder_forward(ckpt, batch.input_ids, batch.attention_mask,
-                                  train=train, rng=rng)
+            out = encoder_forward(ckpt, batch.input_ids, batch.attention_mask, rng=rng)
             # the head projects only the labelled rows, as BERT's gather_indexes does
             labelled = T.gather(out.hidden, (batch.label_rows, batch.label_cols))
             loss = T.cross_entropy_masked(mlm_head(ckpt, labelled),

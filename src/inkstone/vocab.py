@@ -143,6 +143,14 @@ def encode(seq, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ids, dtype=np.int64), np.array(mask, dtype=np.int64)
 
 
+def encode_batch(seqs, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """encode each sequence; every model batch is laid out here as (batch, max_len)."""
+    rows = [encode(seq, vocab, max_len) for seq in seqs]
+    if not rows:
+        return np.zeros((0, max_len), dtype=np.int64), np.zeros((0, max_len), dtype=np.int64)
+    return np.stack([r[0] for r in rows]), np.stack([r[1] for r in rows])
+
+
 def decode(ids, vocab: Vocab) -> str:
     """Concatenate the tokens for ids, omitting all special tokens."""
     specials = vocab.special_ids

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from inkstone.vocab import encode
 
 def ref_gelu(x):
     k = math.sqrt(2.0 / math.pi)
@@ -176,3 +177,22 @@ def formula_cross_entropy(logits, positions, label_ids):
     grad = np.zeros_like(logits)
     grad[positions] = p
     return loss, grad
+
+
+def loop_teacher_forced_batch(pairs, vocab, max_len):
+    """The per-token loop that built seq2seq training batches before encode_batch."""
+    src = [encode(p.source, vocab, max_len) for p in pairs]
+    src_ids = np.stack([s[0] for s in src])
+    src_mask = np.stack([s[1] for s in src])
+    tgt_tokens = [[vocab.id_of(t) for t in p.target] for p in pairs]
+    t_max = max(len(t) for t in tgt_tokens) + 1
+    dec_in = np.full((len(pairs), t_max), vocab.pad_id, dtype=np.int64)
+    rows, cols, labels = [], [], []
+    for i, toks in enumerate(tgt_tokens):
+        dec_in[i, 0] = vocab.cls_id
+        dec_in[i, 1 : 1 + len(toks)] = toks
+        for j, lab in enumerate(toks + [vocab.sep_id]):
+            rows.append(i)
+            cols.append(j)
+            labels.append(lab)
+    return src_ids, src_mask, dec_in, np.array(rows), np.array(cols), np.array(labels)

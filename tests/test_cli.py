@@ -75,6 +75,22 @@ class TestExitCodes:
                      str(tmp_path / "prompts.txt"), "--output", str(tmp_path / "g.txt")]) == 2
         assert "token id out of range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("task, flag", [("AMCT", "--learning-rate"), ("AMCT", "--num-classes"),
+                                            ("PTC", "--bleu-n")])
+    def test_option_the_task_does_not_take_is_data_error(self, tmp_path, capsys, task, flag):
+        from inkstone import model, vocab
+
+        v = vocab.build_vocab(HANZI)
+        vocab.save_vocab(v, tmp_path / "vocab.txt")
+        cfg = model.ModelConfig(vocab_size=len(v), num_layers=1, hidden_size=8,
+                                num_heads=2, max_positions=16)
+        model.save_checkpoint(model.build_model(cfg), tmp_path / "m.ckpt")
+        data = write(tmp_path / "train.tsv", f"{HANZI[0]}{HANZI[1]}\t1\n")
+        assert main(["finetune", "--task", task, "--init", str(tmp_path / "m.ckpt"),
+                     "--vocab", str(tmp_path / "vocab.txt"), "--train", data, "--dev", data,
+                     "--output", str(tmp_path / "ft"), flag, "3"]) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_full_flow(self, workspace, capsys):

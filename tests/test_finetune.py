@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _reference import loop_teacher_forced_batch
 from inkstone import finetune, optim
 from inkstone import tensor as T
 from inkstone.corpus import ParallelExample
@@ -100,9 +101,28 @@ class TestTaskConfig:
         assert (cpg.batch_size, cpg.decoder_layers, cpg.bleu_n) == (80, 2, 4)
         assert resolve_task_config("CPG13").decoder_layers == 2
         ccg = resolve_task_config("CCG")
-        assert (ccg.decoder_layers, ccg.bleu_n) == (4, 2)
-        assert (ccg.warmup_steps, ccg.beta1, ccg.beta2, ccg.eps) == (
-            4000, 0.9, 0.98, 1e-9)
+        assert (ccg.decoder_layers, ccg.bleu_n, ccg.warmup_steps) == (4, 2, 4000)
+
+    def test_generation_trains_with_transformer_adam(self, tiny_encoder, monkeypatch):
+        seen = []
+        real = optim.adam_step
+
+        def spy(*args, **kwargs):
+            seen.append({k: kwargs[k] for k in ("beta1", "beta2", "eps")})
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(optim, "adam_step", spy)
+        pairs = copy_pairs(np.random.default_rng(4), 4)
+        cfg = Seq2SeqTaskConfig(batch_size=2, decoder_layers=1, epochs=1, bleu_n=2,
+                                max_len=8, max_decode_len=2)
+        finetune_seq2seq(*tiny_encoder, pairs, pairs, cfg)
+        assert seen == [{"beta1": 0.9, "beta2": 0.98, "eps": 1e-9}] * 2
+
+    @pytest.mark.parametrize("task, option", [("AMCT", "learning_rate"),
+                                              ("CCG", "num_classes"), ("PTC", "bleu_n")])
+    def test_option_the_task_does_not_take(self, task, option):
+        with pytest.raises(ConfigError, match=f"{task}.*{option}"):
+            resolve_task_config(task, **{option: 2})
 
     def test_overrides_and_unknown_task(self):
         cfg = resolve_task_config("AMCT", batch_size=4, epochs=2)
@@ -168,6 +188,22 @@ class TestClassifier:
 
 
 class TestSeq2Seq:
+    def test_batch_matches_the_loop_reference(self, tiny_encoder):
+        _, vocab = tiny_encoder
+        rng = np.random.default_rng(5)
+
+        def tokens(most):
+            return TokenSequence([CHARS[i] for i in rng.integers(0, 10, rng.integers(0, most))])
+
+        batches = [[ParallelExample(tokens(6), tokens(7), "AMCT")
+                    for _ in range(int(rng.integers(1, 5)))] for _ in range(30)]
+        batches.append([ParallelExample(tokens(6), TokenSequence([]), "AMCT")] * 2)
+        for pairs in batches:
+            got = finetune._teacher_forced_batch(pairs, vocab, 8)
+            want = loop_teacher_forced_batch(pairs, vocab, 8)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w) and g.dtype == w.dtype
+
     def test_loss_unaffected_by_batch_padding(self, tiny_encoder):
         encoder, vocab = tiny_encoder
         rng = np.random.default_rng(1)

@@ -144,19 +144,35 @@ class TestEncoderForward:
         b = encoder_forward(enc_ckpt, ids, segment_ids=np.array([[1, 1, 1]])).hidden.data
         assert not np.allclose(a, b)
 
-    def test_train_mode_needs_rng_when_dropout_on(self):
-        ckpt = build_model(toy_config(dropout_rate=0.1), init_seed=0)
-        with pytest.raises(ValueError, match="rng"):
-            encoder_forward(ckpt, np.array([[1, 2]]), train=True)
-
     def test_dropout_is_seed_reproducible(self):
         ckpt = build_model(toy_config(dropout_rate=0.3), init_seed=0)
         ids = np.array([[2, 3, 4]])
-        a = encoder_forward(ckpt, ids, train=True, rng=np.random.default_rng(5)).hidden.data
-        b = encoder_forward(ckpt, ids, train=True, rng=np.random.default_rng(5)).hidden.data
-        c = encoder_forward(ckpt, ids, train=True, rng=np.random.default_rng(6)).hidden.data
+        a = encoder_forward(ckpt, ids, rng=np.random.default_rng(5)).hidden.data
+        b = encoder_forward(ckpt, ids, rng=np.random.default_rng(5)).hidden.data
+        c = encoder_forward(ckpt, ids, rng=np.random.default_rng(6)).hidden.data
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @staticmethod
+    def forward_with_rng(dropout_rate):
+        cfg = toy_config(num_layers=2, dropout_rate=dropout_rate)
+        ckpt = build_model(cfg, init_seed=3)
+        ensure_cls_head(ckpt, 3, init_seed=4)
+        rng = np.random.default_rng(9)
+        ids, mask = np.array([[2, 3, 4, 5], [6, 7, 8, 0]]), np.array([[1, 1, 1, 1], [1, 1, 1, 0]])
+        out = encoder_forward(ckpt, ids, mask, rng=rng)
+        after_encoder = rng.bit_generator.state["state"]["state"]
+        cls_head(ckpt, out.pooled, rng=rng)
+        return after_encoder, rng.bit_generator.state["state"]["state"]
+
+    def test_rng_at_dropout_zero_draws_nothing(self):
+        untouched = np.random.default_rng(9).bit_generator.state["state"]["state"]
+        assert self.forward_with_rng(0.0) == (untouched, untouched)
+
+    def test_rng_draws_as_the_training_flag_did(self):
+        # generator states captured with the former train=True, rng=rng calls
+        assert self.forward_with_rng(0.2) == (180293636912321669276411232890417648335,
+                                              36705407240593844134445640587455905775)
 
 
 class TestDecoderForward:
@@ -214,7 +230,8 @@ class TestDecoderForward:
         with pytest.raises(ValueError, match="max_positions"):
             decoder_forward(seq_ckpt, tgt[:, :1], enc.hidden, src_mask, cache=cache)
         with pytest.raises(ValueError, match="inference only"):
-            decoder_forward(seq_ckpt, tgt, enc.hidden, src_mask, train=True, cache={})
+            decoder_forward(seq_ckpt, tgt, enc.hidden, src_mask,
+                            rng=np.random.default_rng(0), cache={})
 
     def test_encoder_only_checkpoint_rejected(self, enc_ckpt):
         enc = encoder_forward(enc_ckpt, np.array([[2, 3]]))
@@ -472,7 +489,7 @@ class TestGraphHoldsNoActivations:
         ensure_mlm_head(ckpt, init_seed=6)
         rng = np.random.default_rng(7)
         ids = rng.integers(5, 20, size=(3, 8))
-        out = encoder_forward(ckpt, ids, np.ones((3, 8)), train=True, rng=rng)
+        out = encoder_forward(ckpt, ids, np.ones((3, 8)), rng=rng)
         labelled = T.gather(out.hidden, (np.array([0, 1, 2, 2]), np.array([1, 3, 0, 7])))
         loss = T.cross_entropy_masked(mlm_head(ckpt, labelled), np.arange(4), [5, 9, 6, 11])
         assert held_op_outputs(loss) == []
@@ -484,6 +501,5 @@ class TestGraphHoldsNoActivations:
                                       decoder_layers=1), init_seed=5)
         pairs = [ParallelExample(TokenSequence(chars[i:i + 3]), TokenSequence(chars[i:i + 2]),
                                  "AMCT") for i in range(3)]
-        loss = seq2seq_loss(ckpt, vocab, pairs, max_len=6, train=True,
-                            rng=np.random.default_rng(7))
+        loss = seq2seq_loss(ckpt, vocab, pairs, max_len=6, rng=np.random.default_rng(7))
         assert held_op_outputs(loss) == []

@@ -28,7 +28,7 @@ from inkstone.pretrain import (
     eval_mlm,
     pretrain,
 )
-from inkstone.vocab import SPECIAL_TOKENS, encode, from_tokens
+from inkstone.vocab import SPECIAL_TOKENS, encode_batch as encode_seqs, from_tokens
 
 CHARS = list("山水风花雪月街春江夜湖海")
 
@@ -69,8 +69,7 @@ def log_rows(out_dir):
 
 
 def encode_batch(texts, vocab, max_len):
-    pairs = [encode(list(t), vocab, max_len) for t in texts]
-    return np.stack([p[0] for p in pairs]), np.stack([p[1] for p in pairs])
+    return encode_seqs([list(t) for t in texts], vocab, max_len)
 
 
 class TestMaskingConfig:

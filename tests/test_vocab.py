@@ -9,6 +9,7 @@ from inkstone.vocab import (
     build_vocab,
     decode,
     encode,
+    encode_batch,
     from_tokens,
     load_vocab,
     save_vocab,
@@ -119,6 +120,17 @@ class TestEncode:
     def test_max_len_below_three_rejected(self, vocab):
         with pytest.raises(ValueError, match="max_len"):
             encode(["春"], vocab, max_len=2)
+
+    def test_batch_stacks_encode_rows(self, vocab):
+        seqs = [tokenize("春眠"), [], ["春"] * 9, ["龍", "夜"]]
+        ids, mask = encode_batch(seqs, vocab, max_len=6)
+        rows = [encode(s, vocab, max_len=6) for s in seqs]
+        assert np.array_equal(ids, np.stack([r[0] for r in rows]))
+        assert np.array_equal(mask, np.stack([r[1] for r in rows]))
+        assert ids.dtype == mask.dtype == np.int64
+        assert ids[2, -1] == vocab.sep_id and mask[1].sum() == 2
+        none_ids, none_mask = encode_batch([], vocab, max_len=6)
+        assert none_ids.shape == none_mask.shape == (0, 6) and none_ids.dtype == np.int64
 
 
 class TestDecode:
