@@ -68,6 +68,7 @@ def main():
 
         print()
         print("== continue from that checkpoint on domain B ==")
+        steps_a = ck_a.step  # pretrain trains its init in place
         ck_ab = pretrain(corpus_b, vb, cfg,
                          PretrainConfig(learning_rate=3e-3, weight_decay=0.0,
                                         batch_size=16, max_steps=300, max_len=10,
@@ -75,7 +76,7 @@ def main():
                          init=ck_a, out_dir=Path(d) / "ab")
         acc_ab, ppl_ab = eval_mlm(ck_ab, held_out_b, vb, seed=11)
         print(f"after continuation: masked acc {acc_ab:.3f}, perplexity {ppl_ab:.1f}")
-        print(f"step counter carried across runs: {ck_a.step} -> {ck_ab.step}")
+        print(f"step counter carried across runs: {steps_a} -> {ck_ab.step}")
 
 
 if __name__ == "__main__":

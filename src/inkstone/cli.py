@@ -182,8 +182,13 @@ def cmd_score(args) -> int:
     else:
         if not args.predictions or not args.labels:
             raise DataError("--metric accuracy needs --predictions and --labels")
-        preds = [int(x) for x in read_lines(args.predictions)]
-        labels = [int(x) for x in read_lines(args.labels)]
+        preds, labels = [], []
+        for path, ints in ((args.predictions, preds), (args.labels, labels)):
+            for lineno, line in enumerate(read_lines(path), start=1):
+                try:
+                    ints.append(int(line))
+                except ValueError:
+                    raise DataError(f"{path}: line {lineno} is not an integer: {line!r}") from None
         value = accuracy(preds, labels)
         if args.output:
             payload = json.dumps({"accuracy": value}, sort_keys=True)

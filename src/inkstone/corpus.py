@@ -159,7 +159,7 @@ def load_parallel_tsv(path, task: str) -> list[ParallelExample]:
             if not line:
                 continue
             cols = line.split("\t")
-            if len(cols) != 2 or not cols[0] or not cols[1]:
+            if len(cols) != 2 or not cols[0].strip() or not cols[1].strip():
                 raise DatasetError(f"malformed parallel row {lineno}: expected 2 non-empty columns")
             out.append(ParallelExample(tokenize(cols[0]), tokenize(cols[1]), task))
     if not out:
@@ -176,7 +176,7 @@ def load_labeled_tsv(path) -> list[tuple[str, int]]:
             if not line:
                 continue
             cols = line.split("\t")
-            if len(cols) != 2 or not cols[0]:
+            if len(cols) != 2 or not cols[0].strip():
                 raise DatasetError(f"malformed labeled row {lineno}: expected text<TAB>label")
             try:
                 label = int(cols[1])

@@ -207,9 +207,8 @@ def seq2seq_loss(ckpt: Checkpoint, vocab: Vocab, pairs: Sequence[ParallelExample
         pairs, vocab, max_len)
     enc = encoder_forward(ckpt, src_ids, src_mask, rng=rng)
     logits = decoder_forward(ckpt, dec_in, enc.hidden, src_mask, rng=rng)
-    t_len = dec_in.shape[1]
-    flat = T.reshape(logits, (len(pairs) * t_len, len(vocab)))
-    return T.cross_entropy_masked(flat, rows * t_len + cols, labels)
+    # score the labelled rows only, gathered as pretraining gathers them
+    return T.cross_entropy_masked(T.gather(logits, (rows, cols)), np.arange(rows.size), labels)
 
 
 def dev_bleu(ckpt: Checkpoint, vocab: Vocab, pairs: Sequence[ParallelExample],

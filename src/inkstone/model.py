@@ -279,8 +279,6 @@ def _key_mask(mask: np.ndarray) -> np.ndarray:
 
 def _prep_ids(cfg: ModelConfig, ids) -> np.ndarray:
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
     if ids.ndim != 2:
         raise ValueError(f"ids must be (batch, length), got shape {ids.shape}")
     if ids.shape[1] > cfg.max_positions:
@@ -305,10 +303,13 @@ def encoder_forward(ckpt: Checkpoint, ids, attention_mask=None, segment_ids=None
     batch, length = ids.shape
     if attention_mask is None:
         attention_mask = np.ones_like(ids)
-    attention_mask = np.asarray(attention_mask, dtype=np.int64).reshape(batch, length)
+    attention_mask = np.asarray(attention_mask, dtype=np.int64)
     if segment_ids is None:
         segment_ids = np.zeros_like(ids)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64).reshape(batch, length)
+    segment_ids = np.asarray(segment_ids, dtype=np.int64)
+    if attention_mask.shape != ids.shape or segment_ids.shape != ids.shape:
+        raise ValueError(f"attention_mask {attention_mask.shape} and segment_ids "
+                         f"{segment_ids.shape} must have the shape of ids {ids.shape}")
     drop = cfg.dropout_rate if rng is not None else 0.0
 
     h = T.add(
@@ -355,8 +356,8 @@ def decoder_forward(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
         raise ValueError(f"{past} cached plus {t_len} new positions exceed "
                          f"max_positions {cfg.max_positions}")
     source_mask = np.asarray(source_mask, dtype=np.int64)
-    if source_mask.ndim == 1:
-        source_mask = source_mask[None, :]
+    if source_mask.ndim != 2:
+        raise ValueError(f"source_mask must be (batch, length), got shape {source_mask.shape}")
     drop = cfg.dropout_rate if rng is not None else 0.0
 
     h = T.add(T.embedding(p["dec.emb.token"], ids),

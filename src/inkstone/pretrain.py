@@ -148,8 +148,9 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
              out_dir=None) -> Checkpoint:
     """Run MLM training and return the final checkpoint.
 
-    When init is given its weights and step count continue, with a fresh
-    optimizer; its encoder architecture must equal model_cfg.
+    When init is given it is trained in place and returned: its weights
+    and step count continue, with a fresh optimizer and model_cfg's
+    dropout. Its encoder architecture must equal model_cfg.
     Writes train.log plus periodic/final checkpoints under out_dir if set.
     """
     cfg.validate()
@@ -162,7 +163,7 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
                 f"init checkpoint architecture {init.config.encoder_arch()} does not match "
                 f"requested {model_cfg.encoder_arch()}"
             )
-        ckpt = init.copy()
+        ckpt = init
         ckpt.config.dropout_rate = model_cfg.dropout_rate
     else:
         ckpt = build_model(model_cfg, init_seed=cfg.seed)

@@ -196,3 +196,62 @@ def loop_teacher_forced_batch(pairs, vocab, max_len):
             cols.append(j)
             labels.append(lab)
     return src_ids, src_mask, dec_in, np.array(rows), np.array(cols), np.array(labels)
+
+
+# ------------------------------------------------------------------------
+# The row scatters that embedding, the loss's general path and the seq2seq
+# loss carried before gather became the one op that scatters rows back,
+# kept verbatim. gather's backward must match them bit for bit.
+
+def old_embedding_backward(table, ids, g):
+    """embedding's own backward: scatter-add every looked-up row into zeros."""
+    gt = np.zeros_like(table)
+    np.add.at(gt, ids, g)
+    return gt
+
+
+def old_cross_entropy_general(logits, positions, label_ids, g=1.0):
+    """cross_entropy_masked's general path: its loss and its (rows, V) gradient."""
+    n = positions.size
+    n_rows, n_classes = logits.shape
+    rows = logits[positions]
+    m = rows.max(axis=-1, keepdims=True)
+    e = rows - m
+    np.exp(e, out=e)
+    z = e.sum(axis=-1, keepdims=True)
+    logz = np.log(z[:, 0]) + m[:, 0]
+    picked = rows[np.arange(n), label_ids]
+    losses = logz - picked
+    logits_dtype = logits.dtype
+    out = np.asarray(np.add.reduce(losses) / n, dtype=logits_dtype)
+    p = e
+    p /= z
+    p[np.arange(n), label_ids] -= 1.0
+    p *= np.asarray(g, dtype=p.dtype) / n
+    gl = np.zeros((n_rows, n_classes), logits_dtype)
+    if np.unique(positions).size == n:
+        gl[positions] = p  # np.add.at costs ~16x more on a wide vocab
+    else:
+        np.add.at(gl, positions, p)
+    return out, gl
+
+
+def old_seq2seq_loss(ckpt, vocab, pairs, max_len, rng=None):
+    """seq2seq_loss over the flattened (B*T, V) logits at flat positions rows * t_len + cols.
+
+    The loss node is old_cross_entropy_general, so no row passes through gather.
+    """
+    from inkstone import tensor as T
+    from inkstone.finetune import _teacher_forced_batch
+    from inkstone.model import decoder_forward, encoder_forward
+
+    src_ids, src_mask, dec_in, rows, cols, labels = _teacher_forced_batch(
+        pairs, vocab, max_len)
+    enc = encoder_forward(ckpt, src_ids, src_mask, rng=rng)
+    logits = decoder_forward(ckpt, dec_in, enc.hidden, src_mask, rng=rng)
+    t_len = dec_in.shape[1]
+    flat = T.reshape(logits, (len(pairs) * t_len, len(vocab)))
+    data, positions = flat.data, rows * t_len + cols
+    out, _ = old_cross_entropy_general(data, positions, labels)
+    return T._result(out, (flat,), lambda g: (
+        old_cross_entropy_general(data, positions, labels, g)[1],))

@@ -162,6 +162,15 @@ class TestPipeline:
                      "--labels", labels]) == 0
         assert capsys.readouterr().out.strip() == "0.7500"
 
+    @pytest.mark.parametrize("bad", ["1\nx\n1\n", "1\n\n1\n"], ids=["word", "blank"])
+    def test_non_integer_accuracy_line_is_data_error(self, tmp_path, capsys, bad):
+        preds = write(tmp_path / "p.txt", "1\n0\n1\n")
+        labels = write(tmp_path / "l.txt", bad)
+        assert main(["score", "--metric", "accuracy", "--predictions", preds,
+                     "--labels", labels]) == 2
+        err = capsys.readouterr().err
+        assert "l.txt: line 2 is not an integer" in err and "internal" not in err
+
 
 class TestSheetsCommands:
     def test_sheets_then_aggregate_requires_scores(self, tmp_path):

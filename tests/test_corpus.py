@@ -145,6 +145,20 @@ class TestParallelTsv:
         with pytest.raises(DatasetError, match="row 1"):
             load_parallel_tsv(p, task="AMCT")
 
+    @pytest.mark.parametrize("row", ["春眠\t \n", " \u3000\t春眠\n", "春眠\t\n"],
+                             ids=["space-target", "ideographic-space-source", "empty-target"])
+    def test_whitespace_only_column_rejected(self, tmp_path, row):
+        p = tmp_path / "pairs.tsv"
+        p.write_text("床前明月光\t疑是地上霜\n" + row, encoding="utf-8")
+        with pytest.raises(DatasetError, match="row 2"):
+            load_parallel_tsv(p, task="AMCT")
+
+    def test_labeled_loader_rejects_whitespace_only_text(self, tmp_path):
+        p = tmp_path / "cls.tsv"
+        p.write_text("床前明月光\t0\n \t1\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match="row 2"):
+            load_labeled_tsv(p)
+
     def test_labeled_loader(self, tmp_path):
         p = tmp_path / "cls.tsv"
         p.write_text("床前明月光\t0\n春眠不觉晓\t1\n", encoding="utf-8")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _reference import loop_teacher_forced_batch
+from _reference import loop_teacher_forced_batch, old_seq2seq_loss
 from inkstone import finetune, optim
 from inkstone import tensor as T
 from inkstone.corpus import ParallelExample
@@ -219,6 +219,31 @@ class TestSeq2Seq:
         n_short, n_long = len(short.target) + 1, len(long.target) + 1
         want = (n_short * l_short + n_long * l_long) / (n_short + n_long)
         assert both == pytest.approx(want, abs=1e-5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lengths", [(3, 0, 5, 1), (4, 4, 4)], ids=["ragged", "full"])
+    def test_gathered_rows_match_the_flat_positions(self, tiny_encoder, dtype, lengths):
+        from inkstone.model import init_seq2seq_from_encoder
+
+        encoder, vocab = tiny_encoder
+        rng = np.random.default_rng(3)
+        pairs = [copy_pairs(rng, 1, length=n)[0] for n in lengths]
+        ckpt = init_seq2seq_from_encoder(encoder, 2, init_seed=4)
+        ckpt.config.dropout_rate = 0.1
+        for p in ckpt.params.values():
+            p.data = p.data.astype(dtype)
+        runs = []
+        for loss_fn in (seq2seq_loss, old_seq2seq_loss):
+            loss = loss_fn(ckpt, vocab, pairs, 10, rng=np.random.default_rng(9))
+            T.backward(loss)
+            runs.append((loss.data, {k: p.grad for k, p in ckpt.params.items()}))
+            for p in ckpt.params.values():
+                p.grad = None
+        (loss, grads), (want_loss, want_grads) = runs
+        assert loss.dtype == dtype and np.array_equal(loss, want_loss)
+        for name, want in want_grads.items():
+            assert grads[name].dtype == dtype, name
+            assert np.array_equal(grads[name], want), name
 
     def test_memorizes_small_copy_set(self, tiny_encoder):
         encoder, vocab = tiny_encoder

@@ -138,6 +138,17 @@ class TestEncoderForward:
         with pytest.raises(ValueError, match="max_positions"):
             encoder_forward(enc_ckpt, np.zeros((1, 11), dtype=np.int64))
 
+    def test_flat_ids_rejected(self, enc_ckpt):
+        with pytest.raises(ValueError, match=r"ids must be \(batch, length\)"):
+            encoder_forward(enc_ckpt, np.array([2, 3, 4]))
+
+    @pytest.mark.parametrize("shape", [(3, 2), (6,), (1, 3)])
+    @pytest.mark.parametrize("which", ["attention_mask", "segment_ids"])
+    def test_mask_of_another_shape_rejected(self, enc_ckpt, which, shape):
+        ids = np.array([[2, 3, 4], [5, 6, 7]])
+        with pytest.raises(ValueError, match=which):
+            encoder_forward(enc_ckpt, ids, **{which: np.ones(shape, dtype=np.int64)})
+
     def test_segment_ids_change_output(self, enc_ckpt):
         ids = np.array([[2, 3, 4]])
         a = encoder_forward(enc_ckpt, ids).hidden.data
@@ -232,6 +243,13 @@ class TestDecoderForward:
         with pytest.raises(ValueError, match="inference only"):
             decoder_forward(seq_ckpt, tgt, enc.hidden, src_mask,
                             rng=np.random.default_rng(0), cache={})
+
+    def test_flat_target_ids_and_source_mask_rejected(self, seq_ckpt):
+        enc = encoder_forward(seq_ckpt, np.array([[2, 3, 4]]))
+        with pytest.raises(ValueError, match=r"ids must be \(batch, length\)"):
+            decoder_forward(seq_ckpt, np.array([5, 6]), enc.hidden, np.ones((1, 3)))
+        with pytest.raises(ValueError, match=r"source_mask must be \(batch, length\)"):
+            decoder_forward(seq_ckpt, np.array([[5, 6]]), enc.hidden, np.ones(3))
 
     def test_encoder_only_checkpoint_rejected(self, enc_ckpt):
         enc = encoder_forward(enc_ckpt, np.array([[2, 3]]))

@@ -242,6 +242,18 @@ class TestPretrainLoop:
         first_line = (tmp_path / "train.log").read_text().split("\n")[0]
         assert first_line.startswith("6\t")
 
+    def test_init_is_trained_in_place(self, vocab):
+        texts = ["山水风花雪月", "街春江夜湖海"]
+        model_cfg = toy_model_cfg(vocab, dropout_rate=0.1)
+        cfg = PretrainConfig(learning_rate=1e-3, batch_size=2, max_steps=2,
+                             max_len=10, seed=1)
+        ck = build_model(toy_model_cfg(vocab, dropout_rate=0.0), init_seed=4)
+        arrays = {name: p.data for name, p in ck.params.items()}
+        assert pretrain(texts, vocab, model_cfg, cfg, init=ck) is ck
+        assert ck.step == 2 and ck.config.dropout_rate == 0.1 and "mlm.dense.w" in ck.params
+        # the same weight arrays, updated rather than copied
+        assert all(ck.params[name].data is data for name, data in arrays.items())
+
     def test_checkpoints_hold_weights_config_and_step_only(self, vocab, tmp_path):
         texts = ["山水风花雪月", "街春江夜湖海"]
         model_cfg = toy_model_cfg(vocab)

@@ -12,7 +12,14 @@ import weakref
 import numpy as np
 import pytest
 
-from _reference import formula_cross_entropy, formula_gelu, formula_layer_norm, formula_softmax
+from _reference import (
+    formula_cross_entropy,
+    formula_gelu,
+    formula_layer_norm,
+    formula_softmax,
+    old_cross_entropy_general,
+    old_embedding_backward,
+)
 from inkstone import tensor as T
 
 
@@ -659,6 +666,51 @@ class TestGather:
         T.backward(build())
         assert np.count_nonzero(np.abs(x.grad).sum(axis=-1)) == 3
         assert np.array_equal(x.grad[1, 1], np.zeros(4, dtype=np.float32))
+
+
+class TestOneScatter:
+    """gather's backward matches each row scatter it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ids", [[[4, 0, 2], [5, 1, 3]], [[4, 0, 4], [1, 1, 3]]],
+                             ids=["distinct", "repeated"])
+    def test_embedding_matches_its_old_scatter(self, rng, dtype, ids):
+        ids = np.array(ids)
+        table = T.parameter(rng.standard_normal((7, 5)), dtype=dtype)
+        g = rng.standard_normal((2, 3, 5)).astype(dtype)
+        T.backward(T.reduce_sum(T.mul(T.embedding(table, ids), T.Tensor(g, dtype=dtype))))
+        want = old_embedding_backward(table.data, ids, g)
+        assert table.grad.dtype == dtype and np.array_equal(table.grad, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pooled_row_matches_the_old_scatter(self, rng, dtype):
+        h = T.parameter(rng.standard_normal((3, 4, 5)), dtype=dtype)
+        g = rng.standard_normal((3, 5)).astype(dtype)
+        index = (np.arange(3), 0)
+        T.backward(T.reduce_sum(T.mul(T.gather(h, index), T.Tensor(g, dtype=dtype))))
+        assert np.array_equal(h.grad, old_embedding_backward(h.data, index, g))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("positions", [[5, 0, 3, 2], [2, 5, 2, 2], [0, 1, 2, 3]],
+                             ids=["distinct", "repeated", "leading-rows"])
+    def test_loss_matches_its_old_general_path(self, rng, dtype, positions):
+        positions, labels = np.array(positions), np.array([3, 0, 6, 6])
+        logits = T.parameter(rng.standard_normal((6, 7)) * 3, dtype=dtype)
+        loss = T.cross_entropy_masked(logits, positions, labels)
+        T.backward(loss)
+        want_loss, want_grad = old_cross_entropy_general(logits.data, positions, labels)
+        assert np.array_equal(loss.data, want_loss) and loss.dtype == dtype
+        assert np.array_equal(logits.grad, want_grad) and logits.grad.dtype == dtype
+
+    def test_distinct_rows_assign_and_repeats_accumulate(self, monkeypatch):
+        calls = []
+        real = np.add.at
+        monkeypatch.setattr(np.add, "at", lambda *a: calls.append(1) or real(*a))
+        x = T.parameter(np.ones((3, 4, 2)))
+        T.backward(T.reduce_sum(T.gather(x, (np.array([0, 2, 1]), np.array([3, 3, 0])))))
+        assert calls == []
+        T.backward(T.reduce_sum(T.gather(x, (np.array([0, 2, 0]), np.array([3, 3, 3])))))
+        assert calls == [1]
 
 
 class TestGradCheck:
