@@ -12,7 +12,6 @@ from inkstone.decode import DecodeConfig, beam_search, generate_text
 from inkstone.finetune import (ClsTaskConfig, Seq2SeqTaskConfig, classify,
                                finetune_classifier, finetune_seq2seq)
 from inkstone.model import ModelConfig, build_model
-from inkstone.vocab import TokenSequence
 
 CHARS = [chr(c) for c in range(0x4E00, 0x4E00 + 10)]
 
@@ -36,8 +35,7 @@ def copy_pairs(rng, n, length=4):
     pairs = []
     for _ in range(n):
         toks = [CHARS[int(rng.integers(0, 10))] for _ in range(length)]
-        pairs.append(ParallelExample(TokenSequence(list(toks)),
-                                     TokenSequence(list(toks)), "AMCT"))
+        pairs.append(ParallelExample(list(toks), list(toks), "AMCT"))
     return pairs
 
 

@@ -62,7 +62,7 @@ def cmd_build_vocab(args) -> int:
     tokens = []
     for path in args.input:
         with open(path, encoding="utf-8") as f:
-            tokens.extend(tokenize(f.read()).tokens)
+            tokens.extend(tokenize(f.read()))
     vocab = build_vocab(tokens)
     save_vocab(vocab, args.output)
     print(f"wrote {len(vocab)} tokens to {args.output}")
@@ -172,8 +172,8 @@ def cmd_score(args) -> int:
     if args.metric == "bleu":
         if not args.candidates or not args.references:
             raise DataError("--metric bleu needs --candidates and --references")
-        cands = [tokenize(ln).tokens for ln in read_lines(args.candidates)]
-        refs = [tokenize(ln).tokens for ln in read_lines(args.references)]
+        cands = [tokenize(ln) for ln in read_lines(args.candidates)]
+        refs = [tokenize(ln) for ln in read_lines(args.references)]
         report = bleu(cands, refs, max_n=args.max_n)
         if args.output:
             with open(args.output, "w", encoding="utf-8", newline="\n") as f:
@@ -241,7 +241,10 @@ def cmd_reproduce(args) -> int:
             manifest = json.load(f)
         except json.JSONDecodeError as e:
             raise DataError(f"{args.manifest}: not valid JSON ({e})") from e
-    stages = manifest.get("stages", [manifest])
+    stages = manifest.get("stages", [manifest]) if isinstance(manifest, dict) else None
+    if not isinstance(stages, list) or not all(isinstance(s, dict) for s in stages):
+        raise DataError(f"{args.manifest}: a manifest is an object whose 'stages', "
+                        "if present, is a list of objects")
     for i, stage in enumerate(stages, start=1):
         argv = stage.get("argv")
         if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
@@ -384,8 +387,9 @@ def main(argv=None) -> int:
         if code == 0 and getattr(args, "output", None):
             _write_manifest(args.output, args.command, argv, args)
         return code
-    except (DataError, FileNotFoundError, UnicodeDecodeError) as e:
-        # what the user can fix, a non-UTF-8 file included; a bare ValueError is a bug (exit 3)
+    except (DataError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, UnicodeDecodeError) as e:
+        # what the user can fix: a bad path or a non-UTF-8 file; a bare ValueError is a bug (exit 3)
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # anything unplanned

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DatasetError
-from .vocab import TokenSequence, tokenize
+from .vocab import tokenize
 
 KINDS = ("article", "poem", "couplet")
 
@@ -31,17 +31,17 @@ class RawDocument:
 
 @dataclass
 class ParallelExample:
-    source: TokenSequence
-    target: TokenSequence
+    source: list[str]
+    target: list[str]
     task: str
 
     @property
     def source_text(self) -> str:
-        return "".join(self.source.tokens)
+        return "".join(self.source)
 
     @property
     def target_text(self) -> str:
-        return "".join(self.target.tokens)
+        return "".join(self.target)
 
 
 def clean_text(text: str, blacklist: Iterable[str] = ()) -> str:
@@ -65,20 +65,25 @@ def clean_text(text: str, blacklist: Iterable[str] = ()) -> str:
     return _WS_RUN.sub(squash, "".join(kept)).strip()
 
 
-def load_t2s_table(path) -> dict[str, str]:
-    """Read a traditional-to-simplified TSV of single-codepoint pairs."""
-    table: dict[str, str] = {}
+def _tsv_rows(path):
+    """(line number, tab-split columns) of each non-empty line of a UTF-8 file."""
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2 or len(cols[0]) != 1 or len(cols[1]) != 1:
-                raise DatasetError(f"malformed mapping row {lineno}: {line!r}")
-            if cols[0] in table:
-                raise DatasetError(f"duplicate mapping source {cols[0]!r} at row {lineno}")
-            table[cols[0]] = cols[1]
+            if line:
+                yield lineno, line.split("\t")
+
+
+def load_t2s_table(path) -> dict[str, str]:
+    """Read a traditional-to-simplified TSV of single-codepoint pairs."""
+    table: dict[str, str] = {}
+    for lineno, cols in _tsv_rows(path):
+        if len(cols) != 2 or len(cols[0]) != 1 or len(cols[1]) != 1:
+            raise DatasetError(
+                f"{path}: malformed mapping row {lineno}: expected 2 single-character columns")
+        if cols[0] in table:
+            raise DatasetError(f"{path}: duplicate mapping source {cols[0]!r} at row {lineno}")
+        table[cols[0]] = cols[1]
     return table
 
 
@@ -153,15 +158,11 @@ def make_cpg_pairs(lines: Sequence[str], mode: str) -> ParallelExample:
 def load_parallel_tsv(path, task: str) -> list[ParallelExample]:
     """Read two-column TSV parallel data, one example per line."""
     out: list[ParallelExample] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2 or not cols[0].strip() or not cols[1].strip():
-                raise DatasetError(f"malformed parallel row {lineno}: expected 2 non-empty columns")
-            out.append(ParallelExample(tokenize(cols[0]), tokenize(cols[1]), task))
+    for lineno, cols in _tsv_rows(path):
+        if len(cols) != 2 or not cols[0].strip() or not cols[1].strip():
+            raise DatasetError(
+                f"{path}: malformed parallel row {lineno}: expected 2 non-empty columns")
+        out.append(ParallelExample(tokenize(cols[0]), tokenize(cols[1]), task))
     if not out:
         raise DatasetError(f"no parallel examples in {path}")
     return out
@@ -170,21 +171,16 @@ def load_parallel_tsv(path, task: str) -> list[ParallelExample]:
 def load_labeled_tsv(path) -> list[tuple[str, int]]:
     """Read (text, integer label) classification rows."""
     out: list[tuple[str, int]] = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2 or not cols[0].strip():
-                raise DatasetError(f"malformed labeled row {lineno}: expected text<TAB>label")
-            try:
-                label = int(cols[1])
-            except ValueError:
-                raise DatasetError(f"non-integer label at row {lineno}: {cols[1]!r}") from None
-            if label < 0:
-                raise DatasetError(f"negative label at row {lineno}")
-            out.append((cols[0], label))
+    for lineno, cols in _tsv_rows(path):
+        if len(cols) != 2 or not cols[0].strip():
+            raise DatasetError(f"{path}: malformed labeled row {lineno}: expected text<TAB>label")
+        try:
+            label = int(cols[1])
+        except ValueError:
+            raise DatasetError(f"{path}: non-integer label at row {lineno}: {cols[1]!r}") from None
+        if label < 0:
+            raise DatasetError(f"{path}: negative label at row {lineno}")
+        out.append((cols[0], label))
     if not out:
         raise DatasetError(f"no labeled examples in {path}")
     return out

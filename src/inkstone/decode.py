@@ -105,7 +105,7 @@ def beam_from_step(step_fn: StepFn, eos_id: int, max_len: int, beam_size: int,
     return list(best_tokens), _normalized(best_score, len(best_tokens), alpha)
 
 
-def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source,
+def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source: str,
                    max_decode_len: int) -> tuple[StepFn, int]:
     """Encode the source once; return the incremental step function and length cap.
 
@@ -116,12 +116,11 @@ def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source,
     """
     if ckpt.config.decoder_layers < 1:
         raise ConfigError("decoding needs a seq2seq checkpoint (decoder_layers >= 1)")
-    if isinstance(source, str):
-        source = tokenize(source)
+    tokens = tokenize(source)
     positions = ckpt.config.max_positions
     # [CLS] body [SEP] at its own length; encode needs room for one body token
-    source_ids, source_mask = encode_batch([source], vocab,
-                                           min(max(len(source), 1) + 2, positions))
+    source_ids, source_mask = encode_batch([tokens], vocab,
+                                           min(max(len(tokens), 1) + 2, positions))
     with T.no_grad():
         enc_hidden = encoder_forward(ckpt, source_ids, source_mask).hidden
     suppress = [vocab.cls_id, vocab.pad_id]
@@ -150,14 +149,14 @@ def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source,
     return step, min(max_decode_len, positions - 1)
 
 
-def greedy_decode(ckpt: Checkpoint, vocab: Vocab, source,
+def greedy_decode(ckpt: Checkpoint, vocab: Vocab, source: str,
                   max_decode_len: int = 64) -> list[int]:
     """Greedy generation; returns body token ids without specials."""
     step, cap = _model_step_fn(ckpt, vocab, source, max_decode_len)
     return greedy_from_step(step, vocab.sep_id, cap)
 
 
-def beam_search(ckpt: Checkpoint, vocab: Vocab, source,
+def beam_search(ckpt: Checkpoint, vocab: Vocab, source: str,
                 cfg: DecodeConfig) -> tuple[list[int], float]:
     """Beam generation; returns (body token ids, normalized score)."""
     cfg.validate()
@@ -172,7 +171,7 @@ def generate_text(ckpt: Checkpoint, vocab: Vocab, source: str,
         out = greedy_decode(ckpt, vocab, source, cfg.max_decode_len)
     else:
         out, _ = beam_search(ckpt, vocab, source, cfg)
-    return decode_ids(np.array(out, dtype=np.int64), vocab) if out else ""
+    return decode_ids(out, vocab)
 
 
 def decode_file(ckpt: Checkpoint, vocab: Vocab, input_path, output_path,

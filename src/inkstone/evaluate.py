@@ -139,6 +139,8 @@ def make_eval_sheets(items: Sequence[EvalItem], num_evaluators: int,
     """
     if num_evaluators < 1:
         raise SheetError(f"need at least one evaluator, got {num_evaluators}")
+    if min(items_per_system, seed) < 0:
+        raise SheetError(f"items_per_system and seed must be >= 0, got {items_per_system}, {seed}")
     if not items:
         raise SheetError("no items to put on sheets")
     by_system: dict[str, list[EvalItem]] = {}

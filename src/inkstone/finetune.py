@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, DatasetError
 from .corpus import ParallelExample
-from .decode import greedy_decode
+from .decode import DecodeConfig, generate_text
 from .evaluate import bleu
 from .model import (
     Checkpoint,
@@ -45,7 +45,7 @@ class ClsTaskConfig:
     def validate(self) -> "ClsTaskConfig":
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
-        if min(self.batch_size, self.epochs) < 1 or self.learning_rate <= 0:
+        if min(self.batch_size, self.epochs) < 1 or self.learning_rate <= 0 or self.seed < 0:
             raise ConfigError(f"invalid classifier config: {self}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
@@ -68,7 +68,7 @@ class Seq2SeqTaskConfig:
 
     def validate(self) -> "Seq2SeqTaskConfig":
         if min(self.batch_size, self.decoder_layers, self.warmup_steps, self.epochs,
-               self.bleu_n, self.max_decode_len) < 1:
+               self.bleu_n, self.max_decode_len) < 1 or self.seed < 0:
             raise ConfigError(f"invalid seq2seq config: {self}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
@@ -213,13 +213,14 @@ def seq2seq_loss(ckpt: Checkpoint, vocab: Vocab, pairs: Sequence[ParallelExample
 
 def dev_bleu(ckpt: Checkpoint, vocab: Vocab, pairs: Sequence[ParallelExample],
              bleu_n: int, max_decode_len: int) -> float:
-    """Corpus BLEU of greedy generations against the dev targets."""
-    cands, refs = [], []
-    for p in pairs:
-        out = greedy_decode(ckpt, vocab, p.source, max_decode_len)
-        cands.append([vocab.id_to_token[i] for i in out])
-        refs.append(list(p.target.tokens))
-    return bleu(cands, refs, max_n=bleu_n).score
+    """Corpus BLEU of greedy generations against the dev targets.
+
+    Each generation is the text `inkstone generate` writes, tokenized as
+    `inkstone score` tokenizes it, so special tokens never count.
+    """
+    cfg = DecodeConfig(max_decode_len=max_decode_len)
+    cands = [tokenize(generate_text(ckpt, vocab, p.source_text, cfg)) for p in pairs]
+    return bleu(cands, [p.target for p in pairs], max_n=bleu_n).score
 
 
 def finetune_seq2seq(encoder_ckpt: Checkpoint, vocab: Vocab,

@@ -117,6 +117,9 @@ class PretrainConfig:
             raise ConfigError(f"max_len must be >= 3, got {self.max_len}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if min(self.weight_decay, self.seed, self.checkpoint_every) < 0:
+            raise ConfigError("weight_decay, seed and checkpoint_every must be >= 0, got "
+                              f"{self.weight_decay}, {self.seed}, {self.checkpoint_every}")
         self.masking.validate()
         return self
 
@@ -125,7 +128,7 @@ def chunk_corpus(texts: Iterable[str], vocab: Vocab, max_len: int) -> tuple[np.n
     """Tokenize documents and encode non-overlapping max_len-2 chunks."""
     body = max_len - 2
     # generators, so only one document's tokens are alive at a time
-    docs = (tokenize(text).tokens for text in texts)
+    docs = (tokenize(text) for text in texts)
     ids, mask = encode_batch((tokens[start : start + body] for tokens in docs
                               for start in range(0, len(tokens), body)), vocab, max_len)
     if not len(ids):

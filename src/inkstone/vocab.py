@@ -19,23 +19,7 @@ PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
 
 
-@dataclass
-class TokenSequence:
-    """The tokens of one text."""
-
-    tokens: list[str]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def __getitem__(self, i):
-        return self.tokens[i]
-
-
-def tokenize(text: str) -> TokenSequence:
+def tokenize(text: str) -> list[str]:
     """Split text into character-level tokens."""
     tokens: list[str] = []
     for ch in text:
@@ -45,7 +29,7 @@ def tokenize(text: str) -> TokenSequence:
             tokens.append(ch.lower())
         else:
             tokens.append(ch)
-    return TokenSequence(tokens)
+    return tokens
 
 
 @dataclass
@@ -123,19 +107,18 @@ def build_vocab(texts: Iterable[str]) -> Vocab:
     """Specials first, then every distinct token of the corpus, sorted."""
     seen: set[str] = set()
     for text in texts:
-        seen.update(tokenize(text).tokens)
+        seen.update(tokenize(text))
     return from_tokens(list(SPECIAL_TOKENS) + sorted(seen))
 
 
-def encode(seq, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+def encode(seq: Sequence[str], vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Wrap tokens as [CLS] body [SEP], pad to max_len, return (ids, mask).
 
     The body is truncated to max_len - 2 so the [SEP] always survives.
     """
     if max_len < 3:
         raise InputError(f"max_len must be at least 3, got {max_len}")
-    tokens = list(seq.tokens) if isinstance(seq, TokenSequence) else list(seq)
-    body = [vocab.id_of(t) for t in tokens[: max_len - 2]]
+    body = [vocab.id_of(t) for t in seq[: max_len - 2]]
     ids = [vocab.cls_id] + body + [vocab.sep_id]
     n = len(ids)
     ids = ids + [vocab.pad_id] * (max_len - n)

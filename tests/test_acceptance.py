@@ -47,7 +47,7 @@ from inkstone.pretrain import (
     eval_mlm,
     pretrain,
 )
-from inkstone.vocab import TokenSequence, build_vocab
+from inkstone.vocab import build_vocab
 
 HANZI = [chr(c) for c in range(0x4E00, 0x4E00 + 600)]
 
@@ -246,8 +246,7 @@ def test_05_continued_pretraining_transfers():
         for _ in range(n):
             toks = [b_chars[int(j)] for j in drng.integers(0, 10, size=5)]
             succ = [b_chars[(b_chars.index(t) + 1) % 10] for t in toks]
-            pairs.append(ParallelExample(TokenSequence(toks),
-                                         TokenSequence(succ), "AMCT"))
+            pairs.append(ParallelExample(toks, succ, "AMCT"))
         return pairs
 
     drng = np.random.default_rng(5)
@@ -298,8 +297,7 @@ def test_06_copy_task_reaches_high_bleu():
     for _ in range(50):
         n = int(rng.integers(4, 7))
         toks = [pool[int(i)] for i in rng.integers(0, 10, size=n)]
-        pairs.append(ParallelExample(TokenSequence(list(toks)),
-                                     TokenSequence(list(toks)), "AMCT"))
+        pairs.append(ParallelExample(list(toks), list(toks), "AMCT"))
     cfg = Seq2SeqTaskConfig(task="AMCT", batch_size=10, decoder_layers=1,
                             warmup_steps=50, epochs=45, bleu_n=4, max_len=10,
                             max_decode_len=8, dropout=0.0, seed=2)

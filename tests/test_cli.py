@@ -14,6 +14,17 @@ def write(path, text):
     return str(path)
 
 
+def save_tiny_encoder(d):
+    """Write vocab.txt over HANZI and an untrained encoder m.ckpt into d."""
+    from inkstone import model, vocab
+
+    v = vocab.build_vocab(HANZI)
+    vocab.save_vocab(v, d / "vocab.txt")
+    cfg = model.ModelConfig(vocab_size=len(v), num_layers=1, hidden_size=8,
+                            num_heads=2, max_positions=16)
+    model.save_checkpoint(model.build_model(cfg), d / "m.ckpt")
+
+
 @pytest.fixture()
 def workspace(tmp_path):
     docs = []
@@ -78,18 +89,51 @@ class TestExitCodes:
     @pytest.mark.parametrize("task, flag", [("AMCT", "--learning-rate"), ("AMCT", "--num-classes"),
                                             ("PTC", "--bleu-n")])
     def test_option_the_task_does_not_take_is_data_error(self, tmp_path, capsys, task, flag):
-        from inkstone import model, vocab
-
-        v = vocab.build_vocab(HANZI)
-        vocab.save_vocab(v, tmp_path / "vocab.txt")
-        cfg = model.ModelConfig(vocab_size=len(v), num_layers=1, hidden_size=8,
-                                num_heads=2, max_positions=16)
-        model.save_checkpoint(model.build_model(cfg), tmp_path / "m.ckpt")
+        save_tiny_encoder(tmp_path)
         data = write(tmp_path / "train.tsv", f"{HANZI[0]}{HANZI[1]}\t1\n")
         assert main(["finetune", "--task", task, "--init", str(tmp_path / "m.ckpt"),
                      "--vocab", str(tmp_path / "vocab.txt"), "--train", data, "--dev", data,
                      "--output", str(tmp_path / "ft"), flag, "3"]) == 2
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+    def test_directory_for_a_file_is_data_error(self, tmp_path, capsys):
+        refs = write(tmp_path / "refs.txt", "春眠\n")
+        assert main(["score", "--metric", "bleu", "--candidates", str(tmp_path),
+                     "--references", refs]) == 2
+        assert "internal" not in capsys.readouterr().err
+
+    def test_malformed_dev_row_names_the_dev_file(self, workspace, capsys):
+        d = workspace["dir"]
+        save_tiny_encoder(d)
+        bad = write(d / "dev.tsv", f"{HANZI[0]}\t{HANZI[1]}\n{HANZI[2]}\n")
+        assert main(["finetune", "--task", "AMCT", "--init", str(d / "m.ckpt"),
+                     "--vocab", str(d / "vocab.txt"), "--train", workspace["train"],
+                     "--dev", bad, "--output", str(d / "ft")]) == 2
+        assert f"{bad}: malformed parallel row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("pretrain", "--seed", "-1"), ("pretrain", "--checkpoint-every", "-1"),
+        ("pretrain", "--weight-decay", "-0.5"), ("finetune", "--seed", "-1"),
+        ("eval-sheets", "--seed", "-1"), ("eval-sheets", "--items-per-system", "-1"),
+    ])
+    def test_negative_option_is_data_error(self, workspace, capsys, command, flag, value):
+        d = workspace["dir"]
+        save_tiny_encoder(d)
+        prompts = write(d / "prompts.txt", "\n".join(HANZI[:4]) + "\n")
+        argv = {
+            "pretrain": tiny_pretrain_argv(workspace["raw"], str(d / "vocab.txt"), d / "pre",
+                                           "--max-steps", "2"),
+            "finetune": ["finetune", "--task", "AMCT", "--init", str(d / "m.ckpt"),
+                         "--vocab", str(d / "vocab.txt"), "--train", workspace["train"],
+                         "--dev", workspace["train"], "--output", str(d / "ft"),
+                         "--epochs", "1", "--decoder-layers", "1", "--max-len", "8"],
+            "eval-sheets": ["eval-sheets", "--outputs", f"a={prompts}", f"b={prompts}",
+                            "--prompts", prompts, "--task", "AMCT", "--evaluators", "1",
+                            "--output", str(d / "sheets")],
+        }[command]
+        assert main(argv + [flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag[2:].replace("-", "_") in err and "internal" not in err
 
 
 class TestPipeline:
@@ -154,6 +198,37 @@ class TestPipeline:
         out = capsys.readouterr().out.strip().splitlines()[-1]
         assert out == "100.00"
         assert json.loads(report_path.read_text(encoding="utf-8"))["score"] == 100.0
+
+    def test_dev_bleu_is_the_score_of_the_generated_text(self, workspace):
+        from inkstone import model, vocab
+
+        d = workspace["dir"]
+        v = vocab.build_vocab(HANZI)
+        vocab.save_vocab(v, d / "vocab.txt")
+        cfg = model.ModelConfig(vocab_size=len(v), num_layers=1, hidden_size=16,
+                                num_heads=2, ff_size=32, max_positions=16)
+        model.save_checkpoint(model.build_model(cfg, init_seed=1), d / "m.ckpt")
+        rows = [f"{HANZI[i]}{HANZI[i + 1]}{HANZI[i + 2]}\t{HANZI[i + 3]}{HANZI[i + 2]}"
+                for i in range(6)]
+        dev = write(d / "dev.tsv", "\n".join(rows) + "\n")
+        prompts = write(d / "prompts.txt", "\n".join(r.split("\t")[0] for r in rows) + "\n")
+        refs = write(d / "refs.txt", "\n".join(r.split("\t")[1] for r in rows) + "\n")
+        ft = d / "ft"
+        assert main(["finetune", "--task", "AMCT", "--init", str(d / "m.ckpt"),
+                     "--vocab", str(d / "vocab.txt"), "--train", dev, "--dev", dev,
+                     "--output", str(ft), "--epochs", "3", "--batch-size", "2",
+                     "--dropout", "0", "--decoder-layers", "1", "--warmup-steps", "4",
+                     "--max-len", "8", "--max-decode-len", "5", "--bleu-n", "2"]) == 0
+        assert main(["generate", "--checkpoint", str(ft / "best.ckpt"),
+                     "--vocab", str(d / "vocab.txt"), "--input", prompts,
+                     "--output", str(d / "gen.txt"), "--max-decode-len", "5"]) == 0
+        assert main(["score", "--metric", "bleu", "--candidates", str(d / "gen.txt"),
+                     "--references", refs, "--max-n", "2",
+                     "--output", str(d / "bleu.json")]) == 0
+        metrics = (ft / "metrics.tsv").read_text(encoding="utf-8").splitlines()[1:]
+        best = max((ln.split("\t")[2] for ln in metrics), key=float)
+        score = json.loads((d / "bleu.json").read_text(encoding="utf-8"))["score"]
+        assert f"{score:.4f}" == best
 
     def test_accuracy_scoring(self, tmp_path, capsys):
         preds = write(tmp_path / "p.txt", "1\n0\n1\n1\n")
@@ -234,6 +309,15 @@ class TestReproduce:
         assert main(["reproduce", "--manifest", bad]) == 2
         noargv = write(tmp_path / "noargv.json", json.dumps({"stages": [{}]}))
         assert main(["reproduce", "--manifest", noargv]) == 2
+
+    @pytest.mark.parametrize("manifest", [[{"argv": ["--help"]}], {"stages": "ab"},
+                                          {"stages": ["ab"]}, "ab"],
+                             ids=["list", "string-stages", "string-stage", "string"])
+    def test_manifest_of_the_wrong_shape_is_data_error(self, tmp_path, capsys, manifest):
+        path = write(tmp_path / "bad.json", json.dumps(manifest))
+        assert main(["reproduce", "--manifest", path]) == 2
+        err = capsys.readouterr().err
+        assert "bad.json" in err and "internal" not in err
 
 
 class TestManifest:

@@ -62,14 +62,16 @@ class TestSimplify:
     def test_table_loader_validates_rows(self, tmp_path):
         p = tmp_path / "t2s.tsv"
         p.write_text("說\t说\n詩詩\t诗\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match="row 2"):
+        with pytest.raises(DatasetError, match="row 2") as err:
             load_t2s_table(p)
+        assert str(err.value).startswith(f"{p}: ")
 
     def test_table_loader_rejects_duplicate_source(self, tmp_path):
         p = tmp_path / "t2s.tsv"
         p.write_text("說\t说\n說\t説\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match="duplicate"):
+        with pytest.raises(DatasetError, match="duplicate") as err:
             load_t2s_table(p)
+        assert str(err.value).startswith(f"{p}: ")
 
 
 class TestDocuments:
@@ -142,22 +144,25 @@ class TestParallelTsv:
     def test_malformed_row_rejected(self, tmp_path):
         p = tmp_path / "pairs.tsv"
         p.write_text("只有一列\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match="row 1"):
+        with pytest.raises(DatasetError, match="row 1") as err:
             load_parallel_tsv(p, task="AMCT")
+        assert str(err.value).startswith(f"{p}: ")
 
     @pytest.mark.parametrize("row", ["春眠\t \n", " \u3000\t春眠\n", "春眠\t\n"],
                              ids=["space-target", "ideographic-space-source", "empty-target"])
     def test_whitespace_only_column_rejected(self, tmp_path, row):
         p = tmp_path / "pairs.tsv"
         p.write_text("床前明月光\t疑是地上霜\n" + row, encoding="utf-8")
-        with pytest.raises(DatasetError, match="row 2"):
+        with pytest.raises(DatasetError, match="row 2") as err:
             load_parallel_tsv(p, task="AMCT")
+        assert str(err.value).startswith(f"{p}: ")
 
     def test_labeled_loader_rejects_whitespace_only_text(self, tmp_path):
         p = tmp_path / "cls.tsv"
         p.write_text("床前明月光\t0\n \t1\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match="row 2"):
+        with pytest.raises(DatasetError, match="row 2") as err:
             load_labeled_tsv(p)
+        assert str(err.value).startswith(f"{p}: ")
 
     def test_labeled_loader(self, tmp_path):
         p = tmp_path / "cls.tsv"
@@ -168,8 +173,9 @@ class TestParallelTsv:
     def test_labeled_loader_rejects_bad_label(self, tmp_path):
         p = tmp_path / "cls.tsv"
         p.write_text("床前明月光\t春\n", encoding="utf-8")
-        with pytest.raises(DatasetError, match="label"):
+        with pytest.raises(DatasetError, match="label") as err:
             load_labeled_tsv(p)
+        assert str(err.value).startswith(f"{p}: ")
 
 
 class TestSplit:

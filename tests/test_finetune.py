@@ -18,7 +18,7 @@ from inkstone.finetune import (
     seq2seq_loss,
 )
 from inkstone.model import ModelConfig, build_model, parameter_spec
-from inkstone.vocab import TokenSequence, build_vocab
+from inkstone.vocab import build_vocab
 
 CHARS = [chr(c) for c in range(0x4E00, 0x4E00 + 10)]
 
@@ -65,8 +65,7 @@ def copy_pairs(rng, n, length=3):
     pairs = []
     for _ in range(n):
         toks = [CHARS[int(i)] for i in rng.integers(0, 10, size=length)]
-        pairs.append(ParallelExample(TokenSequence(list(toks)),
-                                     TokenSequence(list(toks)), "AMCT"))
+        pairs.append(ParallelExample(list(toks), list(toks), "AMCT"))
     return pairs
 
 
@@ -193,11 +192,11 @@ class TestSeq2Seq:
         rng = np.random.default_rng(5)
 
         def tokens(most):
-            return TokenSequence([CHARS[i] for i in rng.integers(0, 10, rng.integers(0, most))])
+            return [CHARS[i] for i in rng.integers(0, 10, rng.integers(0, most))]
 
         batches = [[ParallelExample(tokens(6), tokens(7), "AMCT")
                     for _ in range(int(rng.integers(1, 5)))] for _ in range(30)]
-        batches.append([ParallelExample(tokens(6), TokenSequence([]), "AMCT")] * 2)
+        batches.append([ParallelExample(tokens(6), [], "AMCT")] * 2)
         for pairs in batches:
             got = finetune._teacher_forced_batch(pairs, vocab, 8)
             want = loop_teacher_forced_batch(pairs, vocab, 8)
@@ -260,6 +259,28 @@ class TestSeq2Seq:
         got = dev_bleu(ckpt, vocab, pairs, cfg.bleu_n, cfg.max_decode_len)
         assert got == pytest.approx(max(bleus), abs=1e-9)
         assert ckpt.step == max(e for e, _, b in history if b == max(bleus))
+
+    def test_dev_bleu_scores_the_text_generate_writes(self, tiny_encoder):
+        from inkstone.decode import DecodeConfig, generate_text, greedy_decode
+        from inkstone.evaluate import bleu
+        from inkstone.model import init_seq2seq_from_encoder
+        from inkstone.vocab import tokenize
+
+        encoder, vocab = tiny_encoder
+        ckpt = init_seq2seq_from_encoder(encoder, 1, init_seed=3)
+        # a small lift makes greedy emit [MASK] first, then plain characters
+        ckpt.params["dec.out.b"].data[vocab.mask_id] += 0.08
+        pairs = [ParallelExample(tokenize(s), tokenize(s), "AMCT")
+                 for s in ("一丁丂七", "七丄丅丆", "丅丆万丈")]
+        ids = [greedy_decode(ckpt, vocab, p.source_text, 4) for p in pairs]
+        assert all(vocab.mask_id in out and set(out) - vocab.special_ids for out in ids)
+        cfg = DecodeConfig(max_decode_len=4)
+        written = [tokenize(generate_text(ckpt, vocab, p.source_text, cfg)) for p in pairs]
+        want = bleu(written, [p.target for p in pairs], max_n=2).score
+        with_specials = bleu([[vocab.id_to_token[i] for i in out] for out in ids],
+                             [p.target for p in pairs], max_n=2).score
+        assert want != with_specials
+        assert dev_bleu(ckpt, vocab, pairs, 2, 4) == want
 
     def test_freeze_encoder_keeps_encoder_weights(self, tiny_encoder):
         encoder, vocab = tiny_encoder

@@ -30,7 +30,7 @@ from inkstone.model import (
     parameter_spec,
     save_checkpoint,
 )
-from inkstone.vocab import TokenSequence, build_vocab
+from inkstone.vocab import build_vocab
 
 
 def toy_config(**overrides) -> ModelConfig:
@@ -517,7 +517,6 @@ class TestGraphHoldsNoActivations:
         vocab = build_vocab(chars)
         ckpt = build_model(toy_config(vocab_size=len(vocab), dropout_rate=0.1,
                                       decoder_layers=1), init_seed=5)
-        pairs = [ParallelExample(TokenSequence(chars[i:i + 3]), TokenSequence(chars[i:i + 2]),
-                                 "AMCT") for i in range(3)]
+        pairs = [ParallelExample(chars[i:i + 3], chars[i:i + 2], "AMCT") for i in range(3)]
         loss = seq2seq_loss(ckpt, vocab, pairs, max_len=6, rng=np.random.default_rng(7))
         assert held_op_outputs(loss) == []

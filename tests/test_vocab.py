@@ -26,26 +26,29 @@ def vocab():
 
 class TestTokenize:
     def test_cjk_one_char_one_token(self):
-        assert tokenize("春眠不觉晓").tokens == ["春", "眠", "不", "觉", "晓"]
+        assert tokenize("春眠不觉晓") == ["春", "眠", "不", "觉", "晓"]
 
     def test_empty_text(self):
-        assert tokenize("").tokens == []
+        assert tokenize("") == []
+
+    def test_returns_a_plain_list(self):
+        assert type(tokenize("春眠 AB")) is list
 
     def test_ascii_lowercased_and_whitespace_dropped(self):
-        assert tokenize("AB 春").tokens == ["a", "b", "春"]
+        assert tokenize("AB 春") == ["a", "b", "春"]
 
     def test_punctuation_is_single_token(self):
-        assert tokenize("春，眠").tokens == ["春", "，", "眠"]
+        assert tokenize("春，眠") == ["春", "，", "眠"]
 
     def test_digits_kept_per_character(self):
-        assert tokenize("42年").tokens == ["4", "2", "年"]
+        assert tokenize("42年") == ["4", "2", "年"]
 
     def test_rejoining_cjk_tokens_restores_text(self):
         rng = np.random.default_rng(7)
         chars = list(CJK_POOL)
         for _ in range(20):
             s = "".join(rng.choice(chars, size=rng.integers(1, 12)))
-            assert "".join(tokenize(s).tokens) == s
+            assert "".join(tokenize(s)) == s
 
 
 class TestVocabFile:
