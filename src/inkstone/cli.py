@@ -112,7 +112,6 @@ def cmd_pretrain(args) -> int:
     )
     texts = read_blocks(args.corpus)
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = pretrain(texts, vocab, model_cfg, cfg, init=init, out_dir=out_dir)
     print(f"finished at step {ckpt.step}; checkpoint in {out_dir}")
     return 0
@@ -140,7 +139,6 @@ def cmd_finetune(args) -> int:
         train = load_parallel_tsv(args.train, args.task)
         dev = load_parallel_tsv(args.dev, args.task)
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt, history = run_task(args.task, encoder, vocab, train, dev,
                              out_dir=out_dir, **overrides)
     save_checkpoint(ckpt, out_dir / "best.ckpt")

@@ -22,7 +22,8 @@ from .evaluate import bleu
 from .model import (
     Checkpoint,
     cls_head,
-    decoder_forward,
+    decoder_head,
+    decoder_stack,
     encoder_forward,
     ensure_cls_head,
     init_seq2seq_from_encoder,
@@ -206,9 +207,10 @@ def seq2seq_loss(ckpt: Checkpoint, vocab: Vocab, pairs: Sequence[ParallelExample
     src_ids, src_mask, dec_in, rows, cols, labels = _teacher_forced_batch(
         pairs, vocab, max_len)
     enc = encoder_forward(ckpt, src_ids, src_mask, rng=rng)
-    logits = decoder_forward(ckpt, dec_in, enc.hidden, src_mask, rng=rng)
-    # score the labelled rows only, gathered as pretraining gathers them
-    return T.cross_entropy_masked(T.gather(logits, (rows, cols)), np.arange(rows.size), labels)
+    hidden = decoder_stack(ckpt, dec_in, enc.hidden, src_mask, rng=rng)
+    # project the labelled rows only, as pretraining does before mlm_head
+    logits = decoder_head(ckpt, T.gather(hidden, (rows, cols)))
+    return T.cross_entropy_masked(logits, np.arange(rows.size), labels)
 
 
 def dev_bleu(ckpt: Checkpoint, vocab: Vocab, pairs: Sequence[ParallelExample],

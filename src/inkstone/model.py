@@ -165,12 +165,13 @@ def parameter_count(ckpt: Checkpoint, include_heads: bool = False) -> int:
 
 
 def truncated_normal(rng: np.random.Generator, shape: tuple, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std) with resampling outside two standard deviations."""
+    """Normal(0, std); values outside two std are redrawn in index order until none is."""
     x = rng.normal(0.0, std, size=shape)
-    bad = np.abs(x) > 2 * std
-    while bad.any():
-        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(x) > 2 * std
+    flat = x.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2 * std)
+    while bad.size:
+        flat[bad] = rng.normal(0.0, std, size=bad.size)
+        bad = bad[np.abs(flat[bad]) > 2 * std]
     return x.astype(np.float32)
 
 
@@ -330,7 +331,14 @@ def encoder_forward(ckpt: Checkpoint, ids, attention_mask=None, segment_ids=None
 
 def decoder_forward(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
                     rng=None, cache: dict | None = None) -> T.Tensor:
-    """Causal self-attention plus cross-attention; returns (B, T, V) logits.
+    """The decoder stack's (B, T, V) logits: decoder_head over decoder_stack."""
+    return decoder_head(ckpt, decoder_stack(ckpt, target_ids, encoder_hidden, source_mask,
+                                            rng, cache))
+
+
+def decoder_stack(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
+                  rng=None, cache: dict | None = None) -> T.Tensor:
+    """Causal self-attention plus cross-attention; returns (B, T, H) hidden states.
 
     As in encoder_forward, an rng makes this a training forward with dropout.
 
@@ -377,7 +385,12 @@ def decoder_forward(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
                                            cross, cfg.num_heads, drop, rng, cache)
         h = _residual_ln(p, f"dec.{i}.cross_ln", h, cross_attn)
         h = _residual_ln(p, f"dec.{i}.ffn_ln", h, _ffn(p, f"dec.{i}.ffn", h, drop, rng))
-    return T.linear(h, p["dec.out.w"], p["dec.out.b"])
+    return h
+
+
+def decoder_head(ckpt: Checkpoint, hidden: T.Tensor) -> T.Tensor:
+    """Project decoder states onto the vocabulary; (..., H) to (..., V)."""
+    return T.linear(hidden, ckpt.params["dec.out.w"], ckpt.params["dec.out.b"])
 
 
 def select_cache_rows(cache: dict, rows) -> dict:

@@ -17,10 +17,11 @@ too noisy to certify anything.
 Row-local chains are single nodes: softmax takes scale and mask
 (softmax(x * scale + mask)), layer_norm takes a residual it adds first,
 and dropout keeps a bool mask, so none of them stores an intermediate its
-backward does not read. softmax and layer_norm run over tiles of the
-leading axis, gelu and Adam over tiles of the flat array, each tile about
-_TILE elements so the passes over it stay in L2. The arithmetic, and so
-every bit of the result, is that of the whole-array formulas.
+backward does not read. gelu keeps only its input: backward recomputes
+its tanh. softmax and layer_norm run over tiles of the leading axis,
+gelu and Adam over tiles of the flat array, each tile about _TILE
+elements so the passes over it stay in L2. The arithmetic, and so every
+bit of the result, is that of the whole-array formulas.
 """
 
 from __future__ import annotations
@@ -323,28 +324,32 @@ _GELU_K = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C = 0.044715
 
 
+def _gelu_tanh(d):
+    """tanh(K * (d + C * d * d * d)), in that operation order."""
+    t = np.multiply(d, _GELU_C)
+    t *= d
+    t *= d
+    t += d
+    t *= _GELU_K
+    return np.tanh(t, out=t)
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     x = as_tensor(x)
     shape, d = x.data.shape, x.data.reshape(-1)
 
-    def forward(d, t=None, out=None):
-        # t = tanh(K * (d + C * d * d * d)), in that operation order
-        t = np.multiply(d, _GELU_C, out=t)
-        t *= d
-        t *= d
-        t += d
-        t *= _GELU_K
-        np.tanh(t, out=t)
+    def forward(d, out=None):
         out = np.multiply(d, 0.5, out=out)
-        out *= t + 1.0
-        return t, out
+        out *= _gelu_tanh(d) + 1.0
+        return (out,)
 
-    t, out = _tiled(forward, d.size, (d,), lambda: (np.empty_like(d), np.empty_like(d)))
+    out, = _tiled(forward, d.size, (d,), lambda: (np.empty_like(d),))
 
     def backward_fn(g):
-        def grad(d, t, g, dx=None):
+        def grad(d, g, dx=None):
             # dx = 0.5 * (1 + t) + 0.5 * d * (1 - t * t) * K * (1 + 3 * C * d * d)
+            t = _gelu_tanh(d)
             dx = np.multiply(d, 3.0 * _GELU_C, out=dx)
             dx *= d
             dx += 1.0
@@ -354,7 +359,7 @@ def gelu(x: Tensor) -> Tensor:
             dx *= g
             return (dx,)
 
-        dx, = _tiled(grad, d.size, (d, t, g.reshape(-1)), lambda: (np.empty_like(d),))
+        dx, = _tiled(grad, d.size, (d, g.reshape(-1)), lambda: (np.empty_like(d),))
         return (dx.reshape(shape),)
 
     return _result(out.reshape(shape), (x,), backward_fn)

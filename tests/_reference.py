@@ -122,6 +122,7 @@ def formula_softmax(x, g, axis=-1):
 
 
 def formula_gelu(x, g):
+    """gelu with its tanh computed once and used by forward and backward alike."""
     d = x
     inner = _GELU_K * (d + _GELU_C * d * d * d)
     t = np.tanh(inner)
@@ -255,3 +256,17 @@ def old_seq2seq_loss(ckpt, vocab, pairs, max_len, rng=None):
     out, _ = old_cross_entropy_general(data, positions, labels)
     return T._result(out, (flat,), lambda g: (
         old_cross_entropy_general(data, positions, labels, g)[1],))
+
+
+# ------------------------------------------------------------------------
+# Weight init before it redrew only the rejected values, kept verbatim: it
+# re-scanned the whole array after every redraw. The draws, their order and
+# so the weights must stay the same.
+
+def old_truncated_normal(rng, shape, std=0.02):
+    x = rng.normal(0.0, std, size=shape)
+    bad = np.abs(x) > 2 * std
+    while bad.any():
+        x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(x) > 2 * std
+    return x.astype(np.float32)

@@ -136,6 +136,22 @@ class TestExitCodes:
         assert flag[2:].replace("-", "_") in err and "internal" not in err
 
 
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_rejected_config_leaves_no_output(self, workspace, command):
+        # argparse accepts -1; only the config's validate rejects it
+        d = workspace["dir"]
+        save_tiny_encoder(d)
+        out = d / "out"
+        argv = {
+            "pretrain": tiny_pretrain_argv(workspace["raw"], str(d / "vocab.txt"), out),
+            "finetune": ["finetune", "--task", "AMCT", "--init", str(d / "m.ckpt"),
+                         "--vocab", str(d / "vocab.txt"), "--train", workspace["train"],
+                         "--dev", workspace["train"], "--output", str(out)],
+        }[command]
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert not out.exists()
+
+
 class TestPipeline:
     def test_full_flow(self, workspace, capsys):
         d = workspace["dir"]

@@ -61,6 +61,23 @@ def marker_dataset(rng, n):
     return data
 
 
+@pytest.fixture(scope="module")
+def wide_seq2seq():
+    """A CPG22-sized batch: 80 pairs with ragged targets over a vocab of 3,007, dropout on."""
+    chars = [chr(c) for c in range(0x4E00, 0x4E00 + 3000)]
+    vocab = build_vocab(chars)
+    cfg = ModelConfig(vocab_size=len(vocab), num_layers=1, hidden_size=64, num_heads=4,
+                      max_positions=20, dropout_rate=0.1, decoder_layers=2)
+    rng = np.random.default_rng(11)
+
+    def line(n):
+        return [chars[int(i)] for i in rng.integers(0, len(chars), size=n)]
+
+    pairs = [ParallelExample(line(int(rng.choice([5, 7]))), line(int(rng.integers(1, 15))),
+                             "CPG22") for _ in range(80)]
+    return build_model(cfg, init_seed=3), vocab, pairs
+
+
 def copy_pairs(rng, n, length=3):
     pairs = []
     for _ in range(n):
@@ -243,6 +260,36 @@ class TestSeq2Seq:
         for name, want in want_grads.items():
             assert grads[name].dtype == dtype, name
             assert np.array_equal(grads[name], want), name
+
+    def test_projects_only_the_labelled_rows(self, wide_seq2seq, monkeypatch):
+        ckpt, vocab, pairs = wide_seq2seq
+        linear, shapes = T.linear, []
+
+        def recording(x, w, b):
+            out = linear(x, w, b)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(T, "linear", recording)
+        seq2seq_loss(ckpt, vocab, pairs, 20, rng=np.random.default_rng(9))
+        n_labels = sum(len(p.target) + 1 for p in pairs)
+        assert [s for s in shapes if s[-1] == len(vocab)] == [(n_labels, len(vocab))]
+
+    def test_matches_the_padded_projection_at_a_finetune_shape(self, wide_seq2seq):
+        # the projection GEMMs change shape, so float32 rounding may differ in the last bits
+        ckpt, vocab, pairs = wide_seq2seq
+        runs = []
+        for loss_fn in (seq2seq_loss, old_seq2seq_loss):
+            loss = loss_fn(ckpt, vocab, pairs, 20, rng=np.random.default_rng(9))
+            T.backward(loss)
+            runs.append((float(loss.data), {k: p.grad for k, p in ckpt.params.items()}))
+            for p in ckpt.params.values():
+                p.grad = None
+        (loss, grads), (want_loss, want_grads) = runs
+        assert loss == pytest.approx(want_loss, rel=1e-6)
+        for name, want in want_grads.items():
+            np.testing.assert_allclose(grads[name], want, rtol=0,
+                                       atol=1e-6 * np.abs(want).max(), err_msg=name)
 
     def test_memorizes_small_copy_set(self, tiny_encoder):
         encoder, vocab = tiny_encoder

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _reference import ref_decoder_logits, ref_encoder_hidden
+from _reference import old_truncated_normal, ref_decoder_logits, ref_encoder_hidden
 from inkstone import model
 from inkstone import tensor as T
 from inkstone.corpus import ParallelExample
@@ -99,6 +99,18 @@ class TestBuild:
         w = p["enc.0.attn.wq"].data
         assert np.abs(w).max() <= 0.04 + 1e-6  # truncated at two sigma
         assert w.std() > 0.005
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("shape, std", [((1,), 0.02), ((7, 3), 0.02), ((64, 33), 1.0),
+                                            ((2, 3, 50), 0.5), ((3007, 64), 0.02)])
+    def test_truncated_normal_matches_the_rescanning_loop(self, seed, shape, std):
+        rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = model.truncated_normal(rng, shape, std)
+        want = old_truncated_normal(old_rng, shape, std)
+        assert got.dtype == want.dtype == np.float32 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        # the same number of draws: the generators continue alike
+        assert rng.bit_generator.state == old_rng.bit_generator.state
 
     def test_spec_covers_exactly_the_built_params(self, seq_ckpt):
         assert set(seq_ckpt.params) == set(parameter_spec(seq_ckpt.config))
