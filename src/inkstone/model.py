@@ -8,7 +8,8 @@ exactly. The pooled vector is simply the first position's hidden state.
 Checkpoints are a single binary file: magic "ANCH", a u32 version, a
 length-prefixed JSON header (config, step), then one record per weight
 tensor (length-prefixed name, rank, dims as u64 LE, raw little-endian
-float32). Older files' optimizer records, named "opt/...", are skipped.
+float32, then from version 2 its zlib.crc32 as a u32). Version 1 files
+still load; their optimizer records, named "opt/...", are skipped.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from . import tensor as T
 from .errors import CheckpointError, ConfigError, InputError
 
 MAGIC = b"ANCH"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 NEG_INF = -1e9  # additive attention mask for excluded keys
 
 
@@ -159,20 +161,38 @@ def expected_parameter_count(cfg: ModelConfig) -> int:
     return total
 
 
-def parameter_count(ckpt: Checkpoint, include_heads: bool = False) -> int:
-    names = ckpt.params if include_heads else parameter_spec(ckpt.config)
-    return sum(int(ckpt.params[name].data.size) for name in names)
+def parameter_count(ckpt: Checkpoint) -> int:
+    return sum(int(ckpt.params[name].data.size) for name in parameter_spec(ckpt.config))
+
+
+_INIT_CHUNK = 1 << 16
 
 
 def truncated_normal(rng: np.random.Generator, shape: tuple, std: float = 0.02) -> np.ndarray:
-    """Normal(0, std); values outside two std are redrawn in index order until none is."""
-    x = rng.normal(0.0, std, size=shape)
-    flat = x.reshape(-1)
-    bad = np.flatnonzero(np.abs(flat) > 2 * std)
-    while bad.size:
-        flat[bad] = rng.normal(0.0, std, size=bad.size)
-        bad = bad[np.abs(flat[bad]) > 2 * std]
-    return x.astype(np.float32)
+    """Normal(0, std); values outside two std are redrawn in index order until none is.
+
+    The float64 draws go in pieces straight into the float32 result: the
+    first pass in chunks of _INIT_CHUNK, each redraw pass per chunk's
+    rejected indices. Draws in pieces are the values of one draw, so the
+    weights and the generator's state are those of whole-array draws.
+    """
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    bad = []
+    for start in range(0, flat.size, _INIT_CHUNK):
+        x = rng.normal(0.0, std, size=min(_INIT_CHUNK, flat.size - start))
+        flat[start:start + x.size] = x
+        bad.append(start + np.flatnonzero(np.abs(x) > 2 * std))
+    while bad:
+        redo = []
+        for idx in bad:
+            x = rng.normal(0.0, std, size=idx.size)
+            flat[idx] = x
+            idx = idx[np.abs(x) > 2 * std]
+            if idx.size:
+                redo.append(idx)
+        bad = redo
+    return out
 
 
 def _init_param(rng: np.random.Generator, name: str, shape: tuple) -> np.ndarray:
@@ -291,9 +311,10 @@ def _prep_ids(cfg: ModelConfig, ids) -> np.ndarray:
     return ids
 
 
-def encoder_forward(ckpt: Checkpoint, ids, attention_mask=None, segment_ids=None,
-                    rng=None) -> EncoderOutput:
+def encoder_forward(ckpt: Checkpoint, ids, attention_mask=None, rng=None) -> EncoderOutput:
     """Run the encoder stack; masked keys get NEG_INF attention scores.
+
+    Every input is one segment: row 0 of emb.seg is added at every position.
 
     Given an rng, this is a training forward that applies the config's
     dropout with draws from rng; without one it is an eval forward.
@@ -305,17 +326,14 @@ def encoder_forward(ckpt: Checkpoint, ids, attention_mask=None, segment_ids=None
     if attention_mask is None:
         attention_mask = np.ones_like(ids)
     attention_mask = np.asarray(attention_mask, dtype=np.int64)
-    if segment_ids is None:
-        segment_ids = np.zeros_like(ids)
-    segment_ids = np.asarray(segment_ids, dtype=np.int64)
-    if attention_mask.shape != ids.shape or segment_ids.shape != ids.shape:
-        raise ValueError(f"attention_mask {attention_mask.shape} and segment_ids "
-                         f"{segment_ids.shape} must have the shape of ids {ids.shape}")
+    if attention_mask.shape != ids.shape:
+        raise ValueError(f"attention_mask {attention_mask.shape} must have the shape "
+                         f"of ids {ids.shape}")
     drop = cfg.dropout_rate if rng is not None else 0.0
 
     h = T.add(
         T.add(T.embedding(p["emb.token"], ids), T.embedding(p["emb.pos"], np.arange(length))),
-        T.embedding(p["emb.seg"], segment_ids),
+        T.gather(p["emb.seg"], 0),
     )
     if drop > 0.0:
         h = T.dropout(h, drop, rng)
@@ -452,7 +470,9 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
     f.write(struct.pack("<Q", arr.ndim))
     for d in arr.shape:
         f.write(struct.pack("<Q", d))
-    f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    payload = np.ascontiguousarray(arr, dtype="<f4").data  # the array's own buffer, no copy
+    f.write(payload)
+    f.write(struct.pack("<I", zlib.crc32(payload)))
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -492,7 +512,7 @@ def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint; any inconsistency is a CheckpointError.
 
     Each tensor is read straight into its own array, so the peak is about
-    the file's size.
+    the file's size. From version 2 each payload's CRC32 is checked.
     """
     arrays: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
@@ -500,8 +520,9 @@ def load_checkpoint(path) -> Checkpoint:
         if _read_exact(f, 4, end, "magic") != MAGIC:
             raise CheckpointError(f"not a checkpoint file: {path}")
         version = struct.unpack("<I", _read_exact(f, 4, end, "version"))[0]
-        if version != FORMAT_VERSION:
+        if version not in (1, FORMAT_VERSION):
             raise CheckpointError(f"unsupported checkpoint version {version}")
+        crc_len = 4 if version >= 2 else 0
         header_len = _read_u64(f, end, "header length")
         try:
             header = json.loads(_read_exact(f, header_len, end, "header").decode("utf-8"))
@@ -517,9 +538,11 @@ def load_checkpoint(path) -> Checkpoint:
             if rank > 8:
                 raise CheckpointError(f"implausible rank {rank} for tensor {name}")
             shape = tuple(_read_u64(f, end, f"dims of {name}") for _ in range(rank))
-            _check_room(f, 4 * math.prod(shape), end, f"data of {name}")
+            _check_room(f, 4 * math.prod(shape) + crc_len, end, f"data of {name}")
             arr = np.empty(shape, dtype="<f4")
             f.readinto(arr.reshape(-1).view(np.uint8))
+            if crc_len and struct.unpack("<I", f.read(4))[0] != zlib.crc32(arr):
+                raise CheckpointError(f"checksum mismatch in tensor {name}")
             if name in arrays:
                 raise CheckpointError(f"duplicate tensor {name}")
             arrays[name] = arr

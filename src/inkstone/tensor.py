@@ -12,7 +12,8 @@ closure has run, and a second backward through the same graph raises.
 Two losses that share a subgraph therefore need one backward(add(l1, l2)).
 Arrays are float32 by default; grad_check temporarily promotes the
 parameters it probes to float64 because float32 finite differences are
-too noisy to certify anything.
+too noisy to certify anything. The ops are those the pipeline calls, and
+scale, which perfbench still names.
 
 Row-local chains are single nodes: softmax takes scale and mask
 (softmax(x * scale + mask)), layer_norm takes a residual it adds first,
@@ -175,19 +176,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(data, (a, b), backward_fn)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    data = a.data * b.data
-    ad, bd, ra, rb = a.data, b.data, a.requires_grad, b.requires_grad
-
-    def backward_fn(g):
-        ga = _unbroadcast(g * bd, ad.shape) if ra else None
-        gb = _unbroadcast(g * ad, bd.shape) if rb else None
-        return (ga, gb)
-
-    return _result(data, (a, b), backward_fn)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     a = as_tensor(a)
@@ -264,19 +252,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 
     def backward_fn(g):
         return (g.reshape(orig),)
-
-    return _result(data, (a,), backward_fn)
-
-
-def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    a = as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    shape, dtype = a.data.shape, a.data.dtype
-
-    def backward_fn(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
 
     return _result(data, (a,), backward_fn)
 

@@ -5,10 +5,13 @@ per-position loops, hard masking (excluded keys never enter the
 softmax), float64 arithmetic. Only basic numpy dot products are shared.
 """
 
+import json
 import math
+import struct
 
 import numpy as np
 
+from inkstone import tensor as T
 from inkstone.vocab import encode
 
 def ref_gelu(x):
@@ -56,18 +59,16 @@ def _params64(ckpt):
     return {k: v.data.astype(np.float64) for k, v in ckpt.params.items()}
 
 
-def ref_encoder_hidden(ckpt, ids, mask, segment_ids=None):
+def ref_encoder_hidden(ckpt, ids, mask):
     """Per-example encoder stack; returns (batch, length, hidden) float64."""
     cfg = ckpt.config
     p = _params64(ckpt)
     ids = np.atleast_2d(np.asarray(ids))
     mask = np.atleast_2d(np.asarray(mask))
-    if segment_ids is None:
-        segment_ids = np.zeros_like(ids)
     out = []
     for b in range(ids.shape[0]):
         length = ids.shape[1]
-        h = p["emb.token"][ids[b]] + p["emb.pos"][:length] + p["emb.seg"][segment_ids[b]]
+        h = p["emb.token"][ids[b]] + p["emb.pos"][:length] + p["emb.seg"][0]
         allowed = np.tile(mask[b].astype(bool), (length, 1))
         for i in range(cfg.num_layers):
             attn = ref_attention(p, f"enc.{i}.attn", h, h, allowed, cfg.num_heads)
@@ -270,3 +271,61 @@ def old_truncated_normal(rng, shape, std=0.02):
         x[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(x) > 2 * std
     return x.astype(np.float32)
+
+
+# ------------------------------------------------------------------------
+# Ops the pipeline does not call, kept verbatim from inkstone.tensor as the
+# tests' gradient probes: reduce_sum(mul(out, g)) sends g back into out.
+
+def mul(a, b):
+    a, b = T.as_tensor(a), T.as_tensor(b)
+    data = a.data * b.data
+    ad, bd, ra, rb = a.data, b.data, a.requires_grad, b.requires_grad
+
+    def backward_fn(g):
+        ga = T._unbroadcast(g * bd, ad.shape) if ra else None
+        gb = T._unbroadcast(g * ad, bd.shape) if rb else None
+        return (ga, gb)
+
+    return T._result(data, (a, b), backward_fn)
+
+
+def reduce_sum(a, axis=None, keepdims=False):
+    a = T.as_tensor(a)
+    data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape, dtype = a.data.shape, a.data.dtype
+
+    def backward_fn(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
+
+    return T._result(data, (a,), backward_fn)
+
+
+# ------------------------------------------------------------------------
+# The version-1 checkpoint writer, before each payload carried a CRC32,
+# kept verbatim apart from the write to <name>.tmp and the rename. Its
+# files must still load bit for bit.
+
+def _write_block(f, payload):
+    f.write(struct.pack("<Q", len(payload)))
+    f.write(payload)
+
+
+def _write_tensor(f, name, arr):
+    _write_block(f, name.encode("utf-8"))
+    f.write(struct.pack("<Q", arr.ndim))
+    for d in arr.shape:
+        f.write(struct.pack("<Q", d))
+    f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+
+
+def old_save_checkpoint_v1(ckpt, path):
+    header = {"config": ckpt.config.to_dict(), "step": ckpt.step}
+    with open(path, "wb") as f:
+        f.write(b"ANCH")
+        f.write(struct.pack("<I", 1))
+        _write_block(f, json.dumps(header, sort_keys=True).encode("utf-8"))
+        for name in sorted(ckpt.params):
+            _write_tensor(f, name, ckpt.params[name].data)

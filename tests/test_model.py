@@ -7,7 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _reference import old_truncated_normal, ref_decoder_logits, ref_encoder_hidden
+from _reference import (
+    mul,
+    old_embedding_backward,
+    old_save_checkpoint_v1,
+    old_truncated_normal,
+    reduce_sum,
+    ref_decoder_logits,
+    ref_encoder_hidden,
+)
 from inkstone import model
 from inkstone import tensor as T
 from inkstone.corpus import ParallelExample
@@ -112,6 +120,15 @@ class TestBuild:
         # the same number of draws: the generators continue alike
         assert rng.bit_generator.state == old_rng.bit_generator.state
 
+    def test_truncated_normal_holds_no_full_size_temporary(self):
+        tracemalloc.start()
+        try:
+            w = model.truncated_normal(np.random.default_rng(0), (20007, 256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * w.nbytes, f"peak {peak} B for a {w.nbytes} B result"
+
     def test_spec_covers_exactly_the_built_params(self, seq_ckpt):
         assert set(seq_ckpt.params) == set(parameter_spec(seq_ckpt.config))
 
@@ -155,17 +172,27 @@ class TestEncoderForward:
             encoder_forward(enc_ckpt, np.array([2, 3, 4]))
 
     @pytest.mark.parametrize("shape", [(3, 2), (6,), (1, 3)])
-    @pytest.mark.parametrize("which", ["attention_mask", "segment_ids"])
+    @pytest.mark.parametrize("which", ["attention_mask"])
     def test_mask_of_another_shape_rejected(self, enc_ckpt, which, shape):
         ids = np.array([[2, 3, 4], [5, 6, 7]])
         with pytest.raises(ValueError, match=which):
             encoder_forward(enc_ckpt, ids, **{which: np.ones(shape, dtype=np.int64)})
 
-    def test_segment_ids_change_output(self, enc_ckpt):
-        ids = np.array([[2, 3, 4]])
-        a = encoder_forward(enc_ckpt, ids).hidden.data
-        b = encoder_forward(enc_ckpt, ids, segment_ids=np.array([[1, 1, 1]])).hidden.data
-        assert not np.allclose(a, b)
+    def test_segment_gradient_matches_the_old_scatter(self):
+        # every token id is distinct, so emb.token's gradient rows are the
+        # gradient that reaches the embedding sum, unscattered
+        cfg = toy_config(vocab_size=400, max_positions=20, dropout_rate=0.1)
+        ckpt = build_model(cfg, init_seed=4)
+        rng = np.random.default_rng(8)
+        ids = rng.permutation(cfg.vocab_size)[:300].reshape(15, 20)
+        hidden = encoder_forward(ckpt, ids, rng=rng).hidden
+        probe = rng.standard_normal(hidden.shape).astype(np.float32)
+        T.backward(reduce_sum(mul(hidden, T.Tensor(probe))))
+        seg = ckpt.params["emb.seg"]
+        g_sum = ckpt.params["emb.token"].grad[ids]
+        want = old_embedding_backward(seg.data, np.zeros(ids.shape, dtype=np.int64), g_sum)
+        assert seg.grad.dtype == np.float32 and np.array_equal(seg.grad, want)
+        assert not seg.grad[1].any()
 
     def test_dropout_is_seed_reproducible(self):
         ckpt = build_model(toy_config(dropout_rate=0.3), init_seed=0)
@@ -459,6 +486,41 @@ class TestCheckpointIO:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError, match="truncated.*data of"):
             load_checkpoint(path)
+
+    def test_save_writes_each_tensor_without_a_copy(self, tmp_path):
+        tracemalloc.start()
+        try:
+            table = np.ones((20007, 256), dtype=np.float32)
+            save_checkpoint(Checkpoint(toy_config(), {"emb.token": T.parameter(table)}),
+                            tmp_path / "one.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * table.nbytes, f"peak {peak} B for a {table.nbytes} B tensor"
+
+    @pytest.mark.parametrize("name", ["emb.token", "enc.0.ffn.w1"])
+    def test_flipped_payload_byte_names_the_tensor(self, tmp_path, enc_ckpt, name):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(enc_ckpt, path)
+        blob = bytearray(path.read_bytes())
+        payload = enc_ckpt.params[name].data.astype("<f4").tobytes()
+        at = blob.find(payload)
+        assert at > 0 and blob.find(payload, at + 1) < 0
+        blob[at + len(payload) // 2] ^= 0x10
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=f"checksum mismatch in tensor {name}"):
+            load_checkpoint(path)
+
+    def test_version_1_file_loads_bit_identically(self, tmp_path, seq_ckpt):
+        ensure_mlm_head(seq_ckpt, init_seed=5)
+        seq_ckpt.step = 17
+        path = tmp_path / "v1.ckpt"
+        old_save_checkpoint_v1(seq_ckpt, path)
+        loaded = load_checkpoint(path)
+        assert loaded.step == 17 and loaded.config == seq_ckpt.config
+        assert set(loaded.params) == set(seq_ckpt.params)
+        for name, p in seq_ckpt.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
 
     def test_load_peak_memory_stays_near_file_size(self, tmp_path):
         cfg = toy_config(vocab_size=8192, hidden_size=256, num_heads=4, ff_size=512,

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from _reference import formula_adam
+from _reference import formula_adam, mul, reduce_sum
 from inkstone import tensor as T
 from inkstone.errors import DataError, NonFiniteLossError
 from inkstone.optim import AdamState, adam_step, noam_lr, train_step
@@ -117,7 +117,7 @@ class TestAdam:
 class TestTrainStep:
     def test_matches_backward_then_adam_step(self):
         def loss_of(p):
-            return T.reduce_sum(T.mul(p, p))
+            return reduce_sum(mul(p, p))
 
         a, b = parameter([1.0, -2.0]), parameter([1.0, -2.0])
         state_a, state_b = AdamState(), AdamState()
@@ -146,9 +146,9 @@ class TestTrainStep:
     def test_non_finite_loss_raises_and_changes_nothing(self, bad):
         w = parameter([1.0, -2.0])
         state = AdamState()
-        train_step({"w": w}, T.reduce_sum(T.mul(w, w)), state, 0.1)
+        train_step({"w": w}, reduce_sum(mul(w, w)), state, 0.1)
         weights, m, v = w.data.copy(), state.m["w"].copy(), state.v["w"].copy()
-        loss = T.scale(T.reduce_sum(T.mul(w, w)), bad)
+        loss = T.scale(reduce_sum(mul(w, w)), bad)
         with pytest.raises(NonFiniteLossError, match=str(float(loss.data))) as err:
             train_step({"w": w}, loss, state, 0.1, weight_decay=0.01)
         assert isinstance(err.value, DataError)
