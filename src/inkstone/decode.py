@@ -1,14 +1,15 @@
 """Greedy and beam-search decoding for the seq2seq model.
 
-Both strategies are written against a step function, so tests can drive
-them with synthetic distributions. A step function maps a list of
-equal-length prefixes (the tokens generated so far, one per live
-hypothesis) to a (len(prefixes), V) array of next-token log-probs; each
-search makes one call per step. Model-backed decoding encodes the source
-once and then decodes one new position per prefix, with the keys and
-values of earlier positions held in the decoder cache. BOS and PAD
-logits are suppressed, so a hypothesis can never contain them; EOS
-terminates and is excluded from the returned body.
+There is one search, `beam_from_step`: greedy decoding is its width-1
+beam. It is written against a step function, so tests can drive it with
+synthetic distributions. A step function maps a list of equal-length
+prefixes (the tokens generated so far, one per live hypothesis) to a
+(len(prefixes), V) array of next-token log-probs; the search makes one
+call per step. Model-backed decoding encodes the source once and then
+decodes one new position per prefix, with the keys and values of earlier
+positions held in the decoder cache. BOS and PAD logits are suppressed,
+so a hypothesis can never contain them; EOS terminates and is excluded
+from the returned body.
 """
 
 from __future__ import annotations
@@ -44,18 +45,6 @@ class DecodeConfig:
         if self.length_penalty < 0:
             raise ConfigError(f"length_penalty must be >= 0, got {self.length_penalty}")
         return self
-
-
-def greedy_from_step(step_fn: StepFn, eos_id: int, max_len: int) -> list[int]:
-    """Follow the argmax until EOS or the length cap; ties pick the lowest id."""
-    out: list[int] = []
-    for _ in range(max_len):
-        logprobs = step_fn([out])[0]
-        token = int(np.argmax(logprobs))
-        if token == eos_id:
-            break
-        out.append(token)
-    return out
 
 
 def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
@@ -105,6 +94,15 @@ def beam_from_step(step_fn: StepFn, eos_id: int, max_len: int, beam_size: int,
     return list(best_tokens), _normalized(best_score, len(best_tokens), alpha)
 
 
+def greedy_from_step(step_fn: StepFn, eos_id: int, max_len: int) -> list[int]:
+    """The width-1 beam: follow the best token until EOS or the length cap.
+
+    Adding the running float64 score keeps the order of distinct float32
+    logits, and ties pick the lowest id, so this follows the argmax.
+    """
+    return beam_from_step(step_fn, eos_id, max_len, 1)[0]
+
+
 def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source: str,
                    max_decode_len: int) -> tuple[StepFn, int]:
     """Encode the source once; return the incremental step function and length cap.
@@ -133,7 +131,7 @@ def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source: str,
         if rows:
             parents = [rows[tuple(p[:-1])] for p in prefixes]
             # searches pass distinct prefixes, so the cache has len(rows) rows;
-            # a greedy step keeps its one row, and only a beam step reorders or drops
+            # a width-1 step keeps its one row; only a wider beam reorders or drops
             if parents != list(range(len(rows))):
                 cache = select_cache_rows(cache, parents)
         ids = [[p[-1] if len(p) else bos] for p in prefixes]
