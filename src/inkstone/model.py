@@ -6,10 +6,11 @@ parameter inventory then matches the documented closed-form count
 exactly. The pooled vector is simply the first position's hidden state.
 
 Checkpoints are a single binary file: magic "ANCH", a u32 version, a
-length-prefixed JSON header (config, step), then one record per weight
-tensor (length-prefixed name, rank, dims as u64 LE, raw little-endian
-float32, then from version 2 its zlib.crc32 as a u32). Version 1 files
-still load; their optimizer records, named "opt/...", are skipped.
+length-prefixed JSON header (config, step), from version 3 the header's
+zlib.crc32 as a u32, then one record per weight tensor (length-prefixed
+name, rank, dims as u64 LE, raw little-endian float32, then from version
+2 its zlib.crc32 as a u32). Version 1 and 2 files still load; version 1
+optimizer records, named "opt/...", are skipped.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import tensor as T
 from .errors import CheckpointError, ConfigError, InputError
 
 MAGIC = b"ANCH"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 NEG_INF = -1e9  # additive attention mask for excluded keys
 
 
@@ -484,7 +485,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         with open(tmp, "wb") as f:
             f.write(MAGIC)
             f.write(struct.pack("<I", FORMAT_VERSION))
-            _write_block(f, json.dumps(header, sort_keys=True).encode("utf-8"))
+            payload = json.dumps(header, sort_keys=True).encode("utf-8")
+            _write_block(f, payload)
+            f.write(struct.pack("<I", zlib.crc32(payload)))
             for name in sorted(ckpt.params):
                 _write_tensor(f, name, ckpt.params[name].data)
         os.replace(tmp, path)
@@ -512,7 +515,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint; any inconsistency is a CheckpointError.
 
     Each tensor is read straight into its own array, so the peak is about
-    the file's size. From version 2 each payload's CRC32 is checked.
+    the file's size. From version 2 each payload's CRC32 is checked, and
+    from version 3 the header's, before it is parsed.
     """
     arrays: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
@@ -520,12 +524,17 @@ def load_checkpoint(path) -> Checkpoint:
         if _read_exact(f, 4, end, "magic") != MAGIC:
             raise CheckpointError(f"not a checkpoint file: {path}")
         version = struct.unpack("<I", _read_exact(f, 4, end, "version"))[0]
-        if version not in (1, FORMAT_VERSION):
+        if version not in (1, 2, FORMAT_VERSION):
             raise CheckpointError(f"unsupported checkpoint version {version}")
         crc_len = 4 if version >= 2 else 0
         header_len = _read_u64(f, end, "header length")
+        raw = _read_exact(f, header_len, end, "header")
+        if version >= 3:
+            crc = struct.unpack("<I", _read_exact(f, 4, end, "header checksum"))[0]
+            if crc != zlib.crc32(raw):
+                raise CheckpointError("checksum mismatch in header")
         try:
-            header = json.loads(_read_exact(f, header_len, end, "header").decode("utf-8"))
+            header = json.loads(raw.decode("utf-8"))
             cfg = ModelConfig.from_dict(header["config"])
             step = int(header["step"])
         except (ValueError, KeyError, TypeError) as e:

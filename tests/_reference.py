@@ -7,7 +7,10 @@ softmax), float64 arithmetic. Only basic numpy dot products are shared.
 
 import json
 import math
+import os
 import struct
+import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -329,3 +332,51 @@ def old_save_checkpoint_v1(ckpt, path):
         _write_block(f, json.dumps(header, sort_keys=True).encode("utf-8"))
         for name in sorted(ckpt.params):
             _write_tensor(f, name, ckpt.params[name].data)
+
+
+# ------------------------------------------------------------------------
+# The version-2 checkpoint writer, before the header carried a CRC32, kept
+# verbatim. Its files must still load bit for bit.
+
+def _write_tensor_v2(f, name, arr):
+    _write_block(f, name.encode("utf-8"))
+    f.write(struct.pack("<Q", arr.ndim))
+    for d in arr.shape:
+        f.write(struct.pack("<Q", d))
+    payload = np.ascontiguousarray(arr, dtype="<f4").data  # the array's own buffer, no copy
+    f.write(payload)
+    f.write(struct.pack("<I", zlib.crc32(payload)))
+
+
+def old_save_checkpoint_v2(ckpt, path):
+    """Write via <name>.tmp and rename it, so a failed save leaves path as it was."""
+    path = Path(path)
+    header = {"config": ckpt.config.to_dict(), "step": ckpt.step}
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(b"ANCH")
+            f.write(struct.pack("<I", 2))
+            _write_block(f, json.dumps(header, sort_keys=True).encode("utf-8"))
+            for name in sorted(ckpt.params):
+                _write_tensor_v2(f, name, ckpt.params[name].data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+# ------------------------------------------------------------------------
+# The greedy search before it became the width-1 beam, kept verbatim as the
+# oracle that greedy_from_step and beam_from_step(..., 1) are checked against.
+
+def argmax_from_step(step_fn, eos_id, max_len):
+    """Follow the argmax until EOS or the length cap; ties pick the lowest id."""
+    out: list[int] = []
+    for _ in range(max_len):
+        logprobs = step_fn([out])[0]
+        token = int(np.argmax(logprobs))
+        if token == eos_id:
+            break
+        out.append(token)
+    return out

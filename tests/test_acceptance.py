@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from _reference import argmax_from_step
 from _steps import batched
 from inkstone import tensor as T
 from inkstone.corpus import ParallelExample
@@ -409,11 +410,12 @@ def test_08_beam_search_is_exact_when_exhaustive():
     rng2 = np.random.default_rng(11)
     for _ in range(100):
         step = _cached_random_step(rng2, 4)
-        if (beam_from_step(batched(step), 0, 5, 1)[0]
-                != greedy_from_step(batched(step), 0, 5)):
+        want = argmax_from_step(batched(step), 0, 5)
+        if (beam_from_step(batched(step), 0, 5, 1)[0] != want
+                or greedy_from_step(batched(step), 0, 5) != want):
             greedy_fail += 1
     ok = enum_fail == 0 and greedy_fail == 0
-    _report(8, "exhaustive beam equals enumeration; beam 1 equals greedy", ok,
+    _report(8, "exhaustive beam equals enumeration; beam 1 and greedy equal argmax", ok,
             f"{enum_fail}/100 enumeration mismatches, "
             f"{greedy_fail}/100 greedy mismatches")
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _reference import argmax_from_step
 from _steps import batched
 import inkstone.decode as decode_module
 from inkstone import tensor as T
@@ -96,9 +97,22 @@ class TestBeamStep:
         rng = np.random.default_rng(11)
         for _ in range(100):
             step = random_step(rng, 4)
-            greedy = greedy_from_step(batched(step), eos_id=0, max_len=5)
+            want = argmax_from_step(batched(step), eos_id=0, max_len=5)
+            assert greedy_from_step(batched(step), eos_id=0, max_len=5) == want
             tokens, _ = beam_from_step(batched(step), eos_id=0, max_len=5, beam_size=1)
-            assert tokens == greedy
+            assert tokens == want
+
+    def test_beam_one_keeps_a_one_ulp_lead_under_a_large_running_score(self):
+        # token 2 beats token 1 by one float32 ulp at -10; after 100 steps the
+        # running score is near -1000, and its rounding must not tie the two
+        low = np.float32(-10.0)
+        row = np.array([-50.0, low, np.nextafter(low, np.float32(0))], dtype=np.float64)
+        step = lambda prefix: row
+        assert argmax_from_step(batched(step), eos_id=0, max_len=100) == [2] * 100
+        assert greedy_from_step(batched(step), eos_id=0, max_len=100) == [2] * 100
+        tokens, score = beam_from_step(batched(step), eos_id=0, max_len=100, beam_size=1)
+        assert tokens == [2] * 100
+        assert score == pytest.approx(-1000.0, abs=1e-3)
 
     def test_exhaustive_beam_matches_enumeration(self):
         vocab_size, max_len = 3, 3
@@ -229,10 +243,12 @@ class TestModelDecode:
     def test_beam_one_matches_greedy_on_model(self, tiny_seq2seq):
         ckpt, vocab = tiny_seq2seq
         src = "七丅"
-        greedy = greedy_decode(ckpt, vocab, src, max_decode_len=5)
+        step, cap = _model_step_fn(ckpt, vocab, src, 5)
+        want = argmax_from_step(step, vocab.sep_id, cap)
+        assert greedy_decode(ckpt, vocab, src, max_decode_len=5) == want
         cfg = DecodeConfig(strategy="beam", beam_size=1, max_decode_len=5)
         tokens, _ = beam_search(ckpt, vocab, src, cfg)
-        assert tokens == greedy
+        assert tokens == want
 
     def test_beam_output_avoids_specials(self, tiny_seq2seq):
         ckpt, vocab = tiny_seq2seq

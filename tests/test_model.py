@@ -11,6 +11,7 @@ from _reference import (
     mul,
     old_embedding_backward,
     old_save_checkpoint_v1,
+    old_save_checkpoint_v2,
     old_truncated_normal,
     reduce_sum,
     ref_decoder_logits,
@@ -479,7 +480,7 @@ class TestCheckpointIO:
         save_checkpoint(enc_ckpt, path)
         blob = bytearray(path.read_bytes())
         header_len = struct.unpack_from("<Q", blob, 8)[0]
-        name_at = 16 + header_len
+        name_at = 16 + header_len + 4  # past the header's CRC32
         name_len = struct.unpack_from("<Q", blob, name_at)[0]
         dims_at = name_at + 8 + name_len + 8
         struct.pack_into("<Q", blob, dims_at, 1 << 40)  # a 4 TB tensor
@@ -521,6 +522,30 @@ class TestCheckpointIO:
         assert set(loaded.params) == set(seq_ckpt.params)
         for name, p in seq_ckpt.params.items():
             assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    def test_version_2_file_loads_bit_identically(self, tmp_path, seq_ckpt):
+        ensure_mlm_head(seq_ckpt, init_seed=5)
+        seq_ckpt.step = 17
+        path = tmp_path / "v2.ckpt"
+        old_save_checkpoint_v2(seq_ckpt, path)
+        loaded = load_checkpoint(path)
+        assert loaded.step == 17 and loaded.config == seq_ckpt.config
+        assert set(loaded.params) == set(seq_ckpt.params)
+        for name, p in seq_ckpt.params.items():
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
+
+    @pytest.mark.parametrize("old,new", [(b'"step": 123', b'"step": 923'),
+                                         (b'"dropout_rate": 0.0', b'"dropout_rate": 0.5')],
+                             ids=["step", "dropout_rate"])
+    def test_edited_header_rejected(self, tmp_path, enc_ckpt, old, new):
+        enc_ckpt.step = 123
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(enc_ckpt, path)
+        blob = path.read_bytes()
+        assert blob.count(old) == 1
+        path.write_bytes(blob.replace(old, new))
+        with pytest.raises(CheckpointError, match="checksum mismatch in header"):
+            load_checkpoint(path)
 
     def test_load_peak_memory_stays_near_file_size(self, tmp_path):
         cfg = toy_config(vocab_size=8192, hidden_size=256, num_heads=4, ff_size=512,
