@@ -16,6 +16,15 @@ from pathlib import Path
 
 from .errors import DataError
 
+# finetune's task options in flag order, each the flag --name-with-dashes. The ones
+# given go to finetune.run_task, which rejects those the task does not take. They
+# are listed here, not read from finetune's configs, so --help imports no finetune.
+FINETUNE_OPTIONS = {
+    "epochs": int, "batch_size": int, "seed": int, "dropout": float, "max_len": int,
+    "num_classes": int, "learning_rate": float, "decoder_layers": int,
+    "warmup_steps": int, "bleu_n": int, "max_decode_len": int,
+}
+
 
 def _write_manifest(location, command: str, argv, args: argparse.Namespace) -> None:
     location = Path(location)
@@ -125,13 +134,8 @@ def cmd_finetune(args) -> int:
 
     vocab = load_vocab(args.vocab)
     encoder = load_checkpoint(args.init)
-    overrides = {}
-    for key in ("epochs", "batch_size", "seed", "dropout", "max_len",
-                "num_classes", "learning_rate", "decoder_layers",
-                "warmup_steps", "bleu_n", "max_decode_len"):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: value for key in FINETUNE_OPTIONS
+                 if (value := getattr(args, key)) is not None}
     if args.task == "PTC":
         train = load_labeled_tsv(args.train)
         dev = load_labeled_tsv(args.dev)
@@ -314,17 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True)
     p.add_argument("--dev", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--max-len", type=int)
-    p.add_argument("--num-classes", type=int)
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--decoder-layers", type=int)
-    p.add_argument("--warmup-steps", type=int)
-    p.add_argument("--bleu-n", type=int)
-    p.add_argument("--max-decode-len", type=int)
+    for name, kind in FINETUNE_OPTIONS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=kind)
     p.set_defaults(func=cmd_finetune)
 
     p = sub.add_parser("generate", help="decode a file of prompts")

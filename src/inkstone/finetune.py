@@ -18,7 +18,7 @@ from . import tensor as T
 from .errors import ConfigError, DatasetError
 from .corpus import ParallelExample
 from .decode import DecodeConfig, generate_text
-from .evaluate import bleu
+from .evaluate import accuracy, bleu
 from .model import (
     Checkpoint,
     cls_head,
@@ -181,7 +181,7 @@ def finetune_classifier(encoder_ckpt: Checkpoint, vocab: Vocab,
 
     def dev_accuracy():
         preds = classify(ckpt, vocab, [t for t, _ in dev_data], max_len)
-        return float(np.mean([p == lab for p, (_, lab) in zip(preds, dev_data)]))
+        return accuracy(preds, [lab for _, lab in dev_data])
 
     history = _fit(ckpt, len(train_data), cfg.batch_size, cfg.epochs, rng, batch_loss,
                    lambda step: cfg.learning_rate, dev_accuracy)

@@ -205,21 +205,22 @@ def _init_param(rng: np.random.Generator, name: str, shape: tuple) -> np.ndarray
     return truncated_normal(rng, shape)
 
 
+def _init_params(spec: dict[str, tuple], init_seed: int) -> dict[str, T.Tensor]:
+    """Fresh parameters for spec, in spec order, from one generator seeded by init_seed."""
+    rng = np.random.default_rng(init_seed)
+    return {name: T.parameter(_init_param(rng, name, shape)) for name, shape in spec.items()}
+
+
 def build_model(cfg: ModelConfig, init_seed: int = 0) -> Checkpoint:
     """Materialize the full parameter inventory, deterministically."""
     cfg.validate()
-    rng = np.random.default_rng(init_seed)
-    params = {name: T.parameter(_init_param(rng, name, shape))
-              for name, shape in parameter_spec(cfg).items()}
-    return Checkpoint(config=cfg, params=params, step=0)
+    return Checkpoint(config=cfg, params=_init_params(parameter_spec(cfg), init_seed), step=0)
 
 
 def ensure_mlm_head(ckpt: Checkpoint, init_seed: int = 0) -> None:
     if "mlm.dense.w" in ckpt.params:
         return
-    rng = np.random.default_rng(init_seed)
-    for name, shape in mlm_head_spec(ckpt.config).items():
-        ckpt.params[name] = T.parameter(_init_param(rng, name, shape))
+    ckpt.params.update(_init_params(mlm_head_spec(ckpt.config), init_seed))
 
 
 def ensure_cls_head(ckpt: Checkpoint, num_classes: int, init_seed: int = 0) -> None:
@@ -232,15 +233,18 @@ def ensure_cls_head(ckpt: Checkpoint, num_classes: int, init_seed: int = 0) -> N
                 f"requested {num_classes}"
             )
         return
-    rng = np.random.default_rng(init_seed)
-    for name, shape in cls_head_spec(ckpt.config, num_classes).items():
-        ckpt.params[name] = T.parameter(_init_param(rng, name, shape))
+    ckpt.params.update(_init_params(cls_head_spec(ckpt.config, num_classes), init_seed))
 
 
 @dataclass
 class EncoderOutput:
     hidden: T.Tensor  # (batch, length, hidden)
     pooled: T.Tensor  # (batch, hidden): first-position state
+
+
+def _dropout(x: T.Tensor, rate: float, rng) -> T.Tensor:
+    """Dropout at rate with draws from rng in a training forward (rng given); x otherwise."""
+    return T.dropout(x, rate, rng) if rng is not None and rate > 0.0 else x
 
 
 def _multi_head_attention(p, prefix: str, q_in, kv_in, add_mask, num_heads: int,
@@ -272,22 +276,14 @@ def _multi_head_attention(p, prefix: str, q_in, kv_in, add_mask, num_heads: int,
 
     probs = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), axis=-1,
                       scale=1.0 / np.sqrt(dh), mask=add_mask)
-    if drop > 0.0:
-        probs = T.dropout(probs, drop, rng)
-    ctx = T.matmul(probs, v)
+    ctx = T.matmul(_dropout(probs, drop, rng), v)
     ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (batch, q_len, hidden))
-    out = T.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
-    if drop > 0.0:
-        out = T.dropout(out, drop, rng)
-    return out
+    return _dropout(T.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"]), drop, rng)
 
 
 def _ffn(p, prefix: str, x, drop: float, rng) -> T.Tensor:
     h = T.gelu(T.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-    out = T.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
-    if drop > 0.0:
-        out = T.dropout(out, drop, rng)
-    return out
+    return _dropout(T.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"]), drop, rng)
 
 
 def _residual_ln(p, prefix: str, x, sub) -> T.Tensor:
@@ -330,21 +326,19 @@ def encoder_forward(ckpt: Checkpoint, ids, attention_mask=None, rng=None) -> Enc
     if attention_mask.shape != ids.shape:
         raise ValueError(f"attention_mask {attention_mask.shape} must have the shape "
                          f"of ids {ids.shape}")
-    drop = cfg.dropout_rate if rng is not None else 0.0
 
     h = T.add(
         T.add(T.embedding(p["emb.token"], ids), T.embedding(p["emb.pos"], np.arange(length))),
         T.gather(p["emb.seg"], 0),
     )
-    if drop > 0.0:
-        h = T.dropout(h, drop, rng)
+    h = _dropout(h, cfg.dropout_rate, rng)
 
     add_mask = _key_mask(attention_mask)
     for i in range(cfg.num_layers):
         attn = _multi_head_attention(p, f"enc.{i}.attn", h, h, add_mask,
-                                     cfg.num_heads, drop, rng)
+                                     cfg.num_heads, cfg.dropout_rate, rng)
         h = _residual_ln(p, f"enc.{i}.attn_ln", h, attn)
-        h = _residual_ln(p, f"enc.{i}.ffn_ln", h, _ffn(p, f"enc.{i}.ffn", h, drop, rng))
+        h = _residual_ln(p, f"enc.{i}.ffn_ln", h, _ffn(p, f"enc.{i}.ffn", h, cfg.dropout_rate, rng))
     return EncoderOutput(hidden=h, pooled=T.gather(h, (np.arange(batch), 0)))
 
 
@@ -385,12 +379,10 @@ def decoder_stack(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
     source_mask = np.asarray(source_mask, dtype=np.int64)
     if source_mask.ndim != 2:
         raise ValueError(f"source_mask must be (batch, length), got shape {source_mask.shape}")
-    drop = cfg.dropout_rate if rng is not None else 0.0
 
     h = T.add(T.embedding(p["dec.emb.token"], ids),
               T.embedding(p["dec.emb.pos"], np.arange(past, past + t_len)))
-    if drop > 0.0:
-        h = T.dropout(h, drop, rng)
+    h = _dropout(h, cfg.dropout_rate, rng)
 
     causal = np.triu(np.full((t_len, past + t_len), NEG_INF, dtype=np.float32),
                      k=past + 1)[None, None]
@@ -398,12 +390,12 @@ def decoder_stack(ckpt: Checkpoint, target_ids, encoder_hidden, source_mask,
     cross_in = None if past else encoder_hidden
     for i in range(cfg.decoder_layers):
         self_attn = _multi_head_attention(p, f"dec.{i}.self_attn", h, h, causal,
-                                          cfg.num_heads, drop, rng, cache)
+                                          cfg.num_heads, cfg.dropout_rate, rng, cache)
         h = _residual_ln(p, f"dec.{i}.self_ln", h, self_attn)
         cross_attn = _multi_head_attention(p, f"dec.{i}.cross_attn", h, cross_in,
-                                           cross, cfg.num_heads, drop, rng, cache)
+                                           cross, cfg.num_heads, cfg.dropout_rate, rng, cache)
         h = _residual_ln(p, f"dec.{i}.cross_ln", h, cross_attn)
-        h = _residual_ln(p, f"dec.{i}.ffn_ln", h, _ffn(p, f"dec.{i}.ffn", h, drop, rng))
+        h = _residual_ln(p, f"dec.{i}.ffn_ln", h, _ffn(p, f"dec.{i}.ffn", h, cfg.dropout_rate, rng))
     return h
 
 
@@ -440,10 +432,7 @@ def cls_head(ckpt: Checkpoint, pooled: T.Tensor, rng=None) -> T.Tensor:
     p = ckpt.params
     if "cls.w" not in p:
         raise ConfigError("checkpoint has no classifier head; call ensure_cls_head first")
-    drop = ckpt.config.dropout_rate if rng is not None else 0.0
-    if drop > 0.0:
-        pooled = T.dropout(pooled, drop, rng)
-    return T.linear(pooled, p["cls.w"], p["cls.b"])
+    return T.linear(_dropout(pooled, ckpt.config.dropout_rate, rng), p["cls.w"], p["cls.b"])
 
 
 def init_seq2seq_from_encoder(enc_ckpt: Checkpoint, decoder_layers: int,

@@ -11,6 +11,7 @@ one generator seeded by the config, so a seed pins the loss sequence.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -172,7 +173,7 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
         ckpt = build_model(model_cfg, init_seed=cfg.seed)
     ensure_mlm_head(ckpt, init_seed=cfg.seed + 1)
 
-    pool_ids, pool_masks = chunk_corpus(corpus, vocab, min(cfg.max_len, model_cfg.max_positions))
+    pool_ids, _ = chunk_corpus(corpus, vocab, min(cfg.max_len, model_cfg.max_positions))
     n_chunks = pool_ids.shape[0]
 
     state = AdamState()
@@ -182,23 +183,16 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
         out_dir = pathlib.Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
 
-    order = rng.permutation(n_chunks)
-    cursor = 0
+    # shuffled passes; each permutation is drawn only when a batch first needs it,
+    # so the masking and dropout draws of the steps before it come first
+    stream = (i for _ in itertools.count() for i in rng.permutation(n_chunks))
     start_step = ckpt.step
     t_start = time.monotonic()
     # the log is streamed so an interrupted run keeps the steps it finished
     with (open(out_dir / "train.log", "w", encoding="utf-8") if out_dir is not None
           else contextlib.nullcontext()) as log:
         for step in range(start_step + 1, start_step + cfg.max_steps + 1):
-            take = []
-            while len(take) < cfg.batch_size:
-                if cursor >= n_chunks:
-                    order = rng.permutation(n_chunks)
-                    cursor = 0
-                take.append(order[cursor])
-                cursor += 1
-            idx = np.array(take)
-
+            idx = np.array(list(itertools.islice(stream, cfg.batch_size)))
             batch = _mask_batch_nonempty(pool_ids[idx], vocab, cfg.masking, rng)
             out = encoder_forward(ckpt, batch.input_ids, batch.attention_mask, rng=rng)
             # the head projects only the labelled rows, as BERT's gather_indexes does

@@ -38,6 +38,14 @@ PINNED_LOSSES = [
     2.736339, 2.822218, 2.798677, 2.817416, 2.836953, 2.741263, 2.791683, 2.81615,
 ]
 
+# The first three texts of seeded_run, one chunk each, at batch 2: batches 2, 5, 8
+# and 11 span two passes. Captured while pretrain still drew batches with a cursor
+# over an up-front permutation, before the lazy permutation stream replaced it.
+PINNED_CROSS_PASS_LOSSES = [
+    2.867873, 2.831416, 2.872950, 2.960562, 2.848940, 2.797036,
+    2.820592, 2.749238, 2.707629, 2.714237, 2.851973, 2.750448,
+]
+
 # eval_mlm on the fixture of TestEvalMlm.test_pinned_accuracy_and_perplexity,
 # captured when the head still projected every row before indexing
 PINNED_EVAL = (4 / 47, 11.47082315732594)
@@ -55,8 +63,8 @@ def toy_model_cfg(vocab, **overrides):
     return ModelConfig(**base)
 
 
-def seeded_run(vocab, out_dir, max_steps=8):
-    texts = ["山水风花雪月", "街春江夜湖海", "山街水春风江", "月夜湖花雪海"]
+def seeded_run(vocab, out_dir, max_steps=8, n_texts=4):
+    texts = ["山水风花雪月", "街春江夜湖海", "山街水春风江", "月夜湖花雪海"][:n_texts]
     cfg = PretrainConfig(learning_rate=1e-3, batch_size=2, max_steps=max_steps,
                          max_len=10, seed=3)
     return pretrain(texts, vocab, toy_model_cfg(vocab, dropout_rate=0.1), cfg,
@@ -200,11 +208,14 @@ class TestPretrainLoop:
         assert losses[0] == losses[1]
         assert len(losses[0]) == 12
 
-    def test_seeded_losses_are_pinned(self, vocab, tmp_path):
-        seeded_run(vocab, tmp_path)
+    @pytest.mark.parametrize("n_texts, pinned",
+                             [(4, PINNED_LOSSES), (3, PINNED_CROSS_PASS_LOSSES)],
+                             ids=["within-passes", "across-passes"])
+    def test_seeded_losses_are_pinned(self, vocab, tmp_path, n_texts, pinned):
+        seeded_run(vocab, tmp_path, max_steps=len(pinned), n_texts=n_texts)
         rows = log_rows(tmp_path)
-        assert [int(r[0]) for r in rows] == list(range(1, 9))
-        assert [float(r[1]) for r in rows] == pytest.approx(PINNED_LOSSES, rel=1e-5)
+        assert [int(r[0]) for r in rows] == list(range(1, len(pinned) + 1))
+        assert [float(r[1]) for r in rows] == pytest.approx(pinned, rel=1e-5)
 
     def test_log_keeps_steps_finished_before_a_crash(self, vocab, tmp_path, monkeypatch):
         calls = []
