@@ -66,13 +66,15 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_build_vocab(args) -> int:
-    from .vocab import build_vocab, save_vocab, tokenize
+    from .vocab import build_vocab, save_vocab
 
-    tokens = []
-    for path in args.input:
-        with open(path, encoding="utf-8") as f:
-            tokens.extend(tokenize(f.read()))
-    vocab = build_vocab(tokens)
+    def lines():
+        # one line at a time: the tokenizer works per character, so the vocab is the same
+        for path in args.input:
+            with open(path, encoding="utf-8") as f:
+                yield from f
+
+    vocab = build_vocab(lines())
     save_vocab(vocab, args.output)
     print(f"wrote {len(vocab)} tokens to {args.output}")
     return 0

@@ -2,14 +2,16 @@
 
 There is one search, `beam_from_step`: greedy decoding is its width-1
 beam. It is written against a step function, so tests can drive it with
-synthetic distributions. A step function maps a list of equal-length
-prefixes (the tokens generated so far, one per live hypothesis) to a
-(len(prefixes), V) array of next-token log-probs; the search makes one
-call per step. Model-backed decoding encodes the source once and then
-decodes one new position per prefix, with the keys and values of earlier
-positions held in the decoder cache. BOS and PAD logits are suppressed,
-so a hypothesis can never contain them; EOS terminates and is excluded
-from the returned body.
+synthetic distributions. The search holds its live hypotheses as one
+(n, t) int64 token array and makes one call per step,
+step_fn(rows, tokens), which returns (n, V) next-token log-probs:
+tokens[i] is hypothesis i's prefix and rows[i] is the row of the previous
+call that tokens[i, :-1] extends (the first call gets rows [0] and a
+(1, 0) array). Model-backed decoding encodes the source once and then
+decodes one new position per row, with the keys and values of earlier
+positions held in the decoder cache and reordered by rows. BOS and PAD
+logits are suppressed, so a hypothesis can never contain them; EOS
+terminates and is excluded from the returned body.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import ConfigError
 from .model import Checkpoint, decoder_forward, encoder_forward, select_cache_rows
 from .vocab import Vocab, decode as decode_ids, encode_batch, tokenize
 
-StepFn = Callable[[Sequence[Sequence[int]]], np.ndarray]
+StepFn = Callable[[Sequence[int], np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -72,26 +74,25 @@ def beam_from_step(step_fn: StepFn, eos_id: int, max_len: int, beam_size: int,
     log-probs including EOS, divided by body length ** alpha), or the
     best unfinished one if nothing finished under the cap.
     """
-    active: list[tuple[list[int], float]] = [([], 0.0)]
+    tokens = np.zeros((1, 0), dtype=np.int64)
+    running = np.zeros(1)
+    rows = [0]
     finished: list[tuple[list[int], float]] = []
     for _ in range(max_len):
-        logprobs = np.asarray(step_fn([tokens for tokens, _ in active]), dtype=np.float64)
-        scores = np.array([score for _, score in active])[:, None] + logprobs
+        scores = running[:, None] + np.asarray(step_fn(rows, tokens), dtype=np.float64)
         hyps, toks = np.unravel_index(_top_k(scores.ravel(), beam_size), scores.shape)
-        prev, active = active, []
-        for h, tok in zip(hyps.tolist(), toks.tolist()):
-            tokens, score = prev[h][0], float(scores[h, tok])
-            if tok == eos_id:
-                finished.append((tokens, score))
-            else:
-                active.append((tokens + [tok], score))
-        if not active:
+        eos = toks == eos_id
+        finished += [(tokens[h].tolist(), float(scores[h, eos_id])) for h in hyps[eos]]
+        rows, toks = hyps[~eos], toks[~eos]
+        if not rows.size:
             break
-    pool = finished if finished else active
+        tokens = np.concatenate([tokens[rows], toks[:, None]], axis=1)
+        running = scores[rows, toks]
+    pool = finished if finished else list(zip(tokens.tolist(), running.tolist()))
     best_tokens, best_score = max(
         pool, key=lambda item: _normalized(item[1], len(item[0]), alpha)
     )
-    return list(best_tokens), _normalized(best_score, len(best_tokens), alpha)
+    return best_tokens, _normalized(best_score, len(best_tokens), alpha)
 
 
 def greedy_from_step(step_fn: StepFn, eos_id: int, max_len: int) -> list[int]:
@@ -107,10 +108,9 @@ def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source: str,
                    max_decode_len: int) -> tuple[StepFn, int]:
     """Encode the source once; return the incremental step function and length cap.
 
-    Every prefix passed to the step function extends a prefix of the
-    previous call by one token (the first call's prefixes are empty). Its
-    cached keys and values are gathered from that parent's row, and only
-    its last token runs through the decoder.
+    Each call gathers the cached keys and values of its rows' parents and
+    runs only the last token of each prefix through the decoder ([CLS] on
+    the first call, whose prefixes are empty).
     """
     if ckpt.config.decoder_layers < 1:
         raise ConfigError("decoding needs a seq2seq checkpoint (decoder_layers >= 1)")
@@ -122,22 +122,18 @@ def _model_step_fn(ckpt: Checkpoint, vocab: Vocab, source: str,
     with T.no_grad():
         enc_hidden = encoder_forward(ckpt, source_ids, source_mask).hidden
     suppress = [vocab.cls_id, vocab.pad_id]
-    bos = vocab.cls_id
     cache: dict = {}
-    rows: dict[tuple, int] = {}
+    live = 1  # the previous call's row count; the first call's rows [0] keep the empty cache
 
-    def step(prefixes: Sequence[Sequence[int]]) -> np.ndarray:
-        nonlocal cache, rows
-        if rows:
-            parents = [rows[tuple(p[:-1])] for p in prefixes]
-            # searches pass distinct prefixes, so the cache has len(rows) rows;
-            # a width-1 step keeps its one row; only a wider beam reorders or drops
-            if parents != list(range(len(rows))):
-                cache = select_cache_rows(cache, parents)
-        ids = [[p[-1] if len(p) else bos] for p in prefixes]
+    def step(rows: Sequence[int], prefixes: np.ndarray) -> np.ndarray:
+        nonlocal cache, live
+        # a width-1 step keeps its one row; only a wider beam reorders or drops
+        if not np.array_equal(rows, np.arange(live)):
+            cache = select_cache_rows(cache, rows)
+        ids = prefixes[:, -1:] if prefixes.shape[1] else [[vocab.cls_id]]
         with T.no_grad():
             logits = decoder_forward(ckpt, ids, enc_hidden, source_mask, cache=cache)
-        rows = {tuple(p): i for i, p in enumerate(prefixes)}
+        live = len(rows)
         scores = logits.data[:, -1].astype(np.float64)
         scores -= scores.max(axis=1, keepdims=True)
         logprobs = scores - np.log(np.exp(scores).sum(axis=1, keepdims=True))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from _reference import argmax_from_step
-from _steps import batched
+from _steps import batched, by_prefix
 from inkstone import tensor as T
 from inkstone.corpus import ParallelExample
 from inkstone.decode import beam_from_step, greedy_from_step
@@ -410,7 +410,7 @@ def test_08_beam_search_is_exact_when_exhaustive():
     rng2 = np.random.default_rng(11)
     for _ in range(100):
         step = _cached_random_step(rng2, 4)
-        want = argmax_from_step(batched(step), 0, 5)
+        want = argmax_from_step(by_prefix(batched(step)), 0, 5)
         if (beam_from_step(batched(step), 0, 5, 1)[0] != want
                 or greedy_from_step(batched(step), 0, 5) != want):
             greedy_fail += 1

@@ -421,3 +421,18 @@ class TestPreprocessCommand:
         assert main(argv + ["--strip-titles"] * strip_titles) == 0
         docs = clean.read_text(encoding="utf-8").rstrip("\n").split("\n\n")
         assert len(docs) == 2
+
+
+class TestBuildVocabCommand:
+    def test_streamed_files_give_the_vocab_of_their_texts(self, tmp_path):
+        from inkstone import vocab
+
+        texts = ["床前明月光\r\n疑是 地上霜\r\n\r\nAbc\r\n", "举头望明月\n低头思故乡 xyZ"]
+        paths = []
+        for i, text in enumerate(texts):
+            (tmp_path / f"in{i}.txt").write_bytes(text.encode("utf-8"))
+            paths.append(str(tmp_path / f"in{i}.txt"))
+        out = tmp_path / "vocab.txt"
+        assert main(["build-vocab", "--input", *paths, "--output", str(out)]) == 0
+        vocab.save_vocab(vocab.build_vocab(texts), tmp_path / "want.txt")
+        assert out.read_bytes() == (tmp_path / "want.txt").read_bytes()

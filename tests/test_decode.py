@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _reference import argmax_from_step
-from _steps import batched
+from _steps import batched, by_prefix
 import inkstone.decode as decode_module
 from inkstone import tensor as T
 from inkstone.decode import (
@@ -97,7 +97,7 @@ class TestBeamStep:
         rng = np.random.default_rng(11)
         for _ in range(100):
             step = random_step(rng, 4)
-            want = argmax_from_step(batched(step), eos_id=0, max_len=5)
+            want = argmax_from_step(by_prefix(batched(step)), eos_id=0, max_len=5)
             assert greedy_from_step(batched(step), eos_id=0, max_len=5) == want
             tokens, _ = beam_from_step(batched(step), eos_id=0, max_len=5, beam_size=1)
             assert tokens == want
@@ -108,7 +108,7 @@ class TestBeamStep:
         low = np.float32(-10.0)
         row = np.array([-50.0, low, np.nextafter(low, np.float32(0))], dtype=np.float64)
         step = lambda prefix: row
-        assert argmax_from_step(batched(step), eos_id=0, max_len=100) == [2] * 100
+        assert argmax_from_step(by_prefix(batched(step)), eos_id=0, max_len=100) == [2] * 100
         assert greedy_from_step(batched(step), eos_id=0, max_len=100) == [2] * 100
         tokens, score = beam_from_step(batched(step), eos_id=0, max_len=100, beam_size=1)
         assert tokens == [2] * 100
@@ -181,6 +181,21 @@ class TestBeamStep:
         assert beam_from_step(batched(table_step(table, 4)), 0, max_len=5,
                               beam_size=2) == ([1], -2.5)
 
+    def test_each_row_extends_the_previous_call_row_it_names(self):
+        step = random_step(np.random.default_rng(13), 5)
+        calls = []
+
+        def recording(rows, tokens):
+            calls.append((list(rows), tokens.copy()))
+            return batched(step)(rows, tokens)
+
+        beam_from_step(recording, 0, max_len=6, beam_size=3)
+        assert calls[0][0] == [0] and calls[0][1].shape == (1, 0)
+        assert len(calls) > 2
+        for (_, previous), (rows, tokens) in zip(calls, calls[1:]):
+            assert tokens.shape == (len(rows), previous.shape[1] + 1)
+            np.testing.assert_array_equal(tokens[:, :-1], previous[rows])
+
     def test_deterministic(self):
         step = random_step(np.random.default_rng(3), 5)
         first = beam_from_step(batched(step), 0, max_len=4, beam_size=3)
@@ -244,7 +259,7 @@ class TestModelDecode:
         ckpt, vocab = tiny_seq2seq
         src = "七丅"
         step, cap = _model_step_fn(ckpt, vocab, src, 5)
-        want = argmax_from_step(step, vocab.sep_id, cap)
+        want = argmax_from_step(by_prefix(step), vocab.sep_id, cap)
         assert greedy_decode(ckpt, vocab, src, max_decode_len=5) == want
         cfg = DecodeConfig(strategy="beam", beam_size=1, max_decode_len=5)
         tokens, _ = beam_search(ckpt, vocab, src, cfg)
@@ -311,6 +326,7 @@ class TestIncrementalStep:
     def test_greedy_steps_to_the_position_cap(self, tiny_seq2seq, source):
         ckpt, vocab = tiny_seq2seq
         step, cap = _model_step_fn(ckpt, vocab, source, 64)
+        step = by_prefix(step)
         assert cap == ckpt.config.max_positions - 1
         body = sorted(set(range(len(vocab))) - vocab.special_ids)
         tokens = np.random.default_rng(2).choice(body, size=cap).tolist()
@@ -322,7 +338,7 @@ class TestIncrementalStep:
 
     def test_beam_steps_reorder_and_drop_rows(self, tiny_seq2seq):
         ckpt, vocab = tiny_seq2seq
-        step, _ = _model_step_fn(ckpt, vocab, "七丅", 64)
+        step = by_prefix(_model_step_fn(ckpt, vocab, "七丅", 64)[0])
         a, b, c, d, e = (vocab.id_of(ch) for ch in "一丁丂七丄")
         steps = [
             [[]],
@@ -345,7 +361,7 @@ class TestIncrementalStep:
             return real(cache, rows)
 
         monkeypatch.setattr(decode_module, "select_cache_rows", spy)
-        step, _ = _model_step_fn(ckpt, vocab, "七丅", 64)
+        step = by_prefix(_model_step_fn(ckpt, vocab, "七丅", 64)[0])
         a, b, c = (vocab.id_of(ch) for ch in "一丁丂")
         for prefix in ([], [a], [a, b], [a, b, c]):
             np.testing.assert_allclose(step([prefix]),
