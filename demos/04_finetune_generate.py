@@ -62,7 +62,7 @@ def main():
     print()
     print("== seq2seq: memorize a small copy task ==")
     pairs = copy_pairs(rng, 20)
-    cfg = Seq2SeqTaskConfig(task="AMCT", batch_size=10, decoder_layers=1,
+    cfg = Seq2SeqTaskConfig(batch_size=10, decoder_layers=1,
                             warmup_steps=50, epochs=30, bleu_n=2, max_len=10,
                             max_decode_len=8, dropout=0.0, seed=2)
     ck_gen, history = finetune_seq2seq(enc, vb, pairs, pairs, cfg)

@@ -162,7 +162,7 @@ def cmd_generate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     cfg = DecodeConfig(strategy=args.strategy, beam_size=args.beam_size,
                        max_decode_len=args.max_decode_len,
-                       length_penalty=args.length_penalty).validate()
+                       length_penalty=args.length_penalty)
     n = decode_file(ckpt, vocab, args.input, args.output, cfg)
     print(f"generated {n} lines to {args.output}")
     return 0

@@ -37,7 +37,7 @@ class DecodeConfig:
     max_decode_len: int = 64
     length_penalty: float = 0.0
 
-    def validate(self) -> "DecodeConfig":
+    def __post_init__(self):
         if self.strategy not in ("greedy", "beam"):
             raise ConfigError(f"unknown decode strategy {self.strategy!r}")
         if self.beam_size < 1:
@@ -46,7 +46,6 @@ class DecodeConfig:
             raise ConfigError(f"max_decode_len must be >= 1, got {self.max_decode_len}")
         if self.length_penalty < 0:
             raise ConfigError(f"length_penalty must be >= 0, got {self.length_penalty}")
-        return self
 
 
 def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
@@ -153,14 +152,12 @@ def greedy_decode(ckpt: Checkpoint, vocab: Vocab, source: str,
 def beam_search(ckpt: Checkpoint, vocab: Vocab, source: str,
                 cfg: DecodeConfig) -> tuple[list[int], float]:
     """Beam generation; returns (body token ids, normalized score)."""
-    cfg.validate()
     step, cap = _model_step_fn(ckpt, vocab, source, cfg.max_decode_len)
     return beam_from_step(step, vocab.sep_id, cap, cfg.beam_size, cfg.length_penalty)
 
 
 def generate_text(ckpt: Checkpoint, vocab: Vocab, source: str,
                   cfg: DecodeConfig) -> str:
-    cfg.validate()
     if cfg.strategy == "greedy":
         out = greedy_decode(ckpt, vocab, source, cfg.max_decode_len)
     else:

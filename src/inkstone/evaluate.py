@@ -224,14 +224,17 @@ def aggregate_sheets(sheet_paths: Sequence, key_path) -> AggregateReport:
     key_rows = _read_tsv(Path(key_path), KEY_COLUMNS)
     key = {(r["sheet"], r["row_id"]): r for r in key_rows}
     scores: dict[tuple, dict[str, list[float]]] = {}
-    seen = 0
+    seen: set[tuple] = set()
     for path in sheet_paths:
         path = Path(path)
         for row in _read_tsv(path, SHEET_COLUMNS):
-            ident = key.get((path.name, row["row_id"]))
+            where = (path.name, row["row_id"])
+            ident = key.get(where)
             if ident is None:
                 raise SheetError(f"{path.name} row {row['row_id']} missing from key")
-            seen += 1
+            if where in seen:
+                raise SheetError(f"{path.name} row {row['row_id']} given more than once")
+            seen.add(where)
             cell = scores.setdefault((ident["system"], ident["task"]),
                                      {"fluency": [], "adequacy": []})
             for aspect in ("fluency", "adequacy"):
@@ -241,7 +244,7 @@ def aggregate_sheets(sheet_paths: Sequence, key_path) -> AggregateReport:
                         f"{path.name} row {row['row_id']}: {aspect} must be 0 or 1, "
                         f"got {raw!r}")
                 cell[aspect].append(float(raw))
-    if seen == 0:
+    if not seen:
         raise SheetError("no filled rows found")
     report = AggregateReport()
     per_system: dict[str, list[float]] = {}

@@ -43,19 +43,17 @@ class ClsTaskConfig:
     max_len: int = 512
     seed: int = 0
 
-    def validate(self) -> "ClsTaskConfig":
+    def __post_init__(self):
         if self.num_classes < 2:
             raise ConfigError(f"num_classes must be at least 2, got {self.num_classes}")
         if min(self.batch_size, self.epochs) < 1 or self.learning_rate <= 0 or self.seed < 0:
             raise ConfigError(f"invalid classifier config: {self}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        return self
 
 
 @dataclass
 class Seq2SeqTaskConfig:
-    task: str = "AMCT"
     batch_size: int = 30
     decoder_layers: int = 4
     warmup_steps: int = 4000
@@ -67,13 +65,12 @@ class Seq2SeqTaskConfig:
     seed: int = 0
     freeze_encoder: bool = False
 
-    def validate(self) -> "Seq2SeqTaskConfig":
+    def __post_init__(self):
         if min(self.batch_size, self.decoder_layers, self.warmup_steps, self.epochs,
                self.bleu_n, self.max_decode_len) < 1 or self.seed < 0:
             raise ConfigError(f"invalid seq2seq config: {self}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
-        return self
 
 
 # Adam settings of the Transformer's Noam-scheduled training
@@ -95,13 +92,13 @@ def resolve_task_config(task: str, **overrides):
     if task == "PTC":
         cls, merged = ClsTaskConfig, overrides
     elif task in TASK_DEFAULTS:
-        cls, merged = Seq2SeqTaskConfig, {"task": task, **TASK_DEFAULTS[task], **overrides}
+        cls, merged = Seq2SeqTaskConfig, {**TASK_DEFAULTS[task], **overrides}
     else:
         raise ConfigError(f"unknown task {task!r}, expected one of {ALL_TASKS}")
     unknown = sorted(set(overrides) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"task {task} does not take option(s) {', '.join(unknown)}")
-    return cls(**merged).validate()
+    return cls(**merged)
 
 
 def _fit(ckpt: Checkpoint, n: int, batch_size: int, epochs: int,
@@ -158,7 +155,6 @@ def finetune_classifier(encoder_ckpt: Checkpoint, vocab: Vocab,
 
     History rows are (epoch, mean train loss, dev accuracy).
     """
-    cfg.validate()
     if not train_data or not dev_data:
         raise DatasetError("classification needs non-empty train and dev sets")
     for text, label in list(train_data) + list(dev_data):
@@ -233,7 +229,6 @@ def finetune_seq2seq(encoder_ckpt: Checkpoint, vocab: Vocab,
 
     History rows are (epoch, mean train loss, dev BLEU).
     """
-    cfg.validate()
     if not train_pairs or not dev_pairs:
         raise DatasetError("seq2seq needs non-empty train and dev sets")
     max_len = min(cfg.max_len, encoder_ckpt.config.max_positions)

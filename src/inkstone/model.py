@@ -48,8 +48,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.ff_size == 0:
             self.ff_size = 4 * self.hidden_size
-
-    def validate(self) -> "ModelConfig":
         if min(self.vocab_size, self.num_layers, self.hidden_size, self.num_heads,
                self.ff_size, self.num_segments) < 1:
             raise ConfigError(f"all size fields must be positive: {self}")
@@ -63,7 +61,6 @@ class ModelConfig:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.decoder_layers < 0:
             raise ConfigError(f"decoder_layers must be >= 0, got {self.decoder_layers}")
-        return self
 
     def encoder_arch(self) -> tuple:
         return (self.vocab_size, self.num_layers, self.hidden_size, self.num_heads,
@@ -71,10 +68,6 @@ class ModelConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d).validate()
 
 
 @dataclass
@@ -213,7 +206,6 @@ def _init_params(spec: dict[str, tuple], init_seed: int) -> dict[str, T.Tensor]:
 
 def build_model(cfg: ModelConfig, init_seed: int = 0) -> Checkpoint:
     """Materialize the full parameter inventory, deterministically."""
-    cfg.validate()
     return Checkpoint(config=cfg, params=_init_params(parameter_spec(cfg), init_seed), step=0)
 
 
@@ -501,7 +493,7 @@ def _read_u64(f, end: int, what: str) -> int:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read and validate a checkpoint; any inconsistency is a CheckpointError.
+    """Read and check a checkpoint; any inconsistency is a CheckpointError.
 
     Each tensor is read straight into its own array, so the peak is about
     the file's size. From version 2 each payload's CRC32 is checked, and
@@ -524,9 +516,9 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CheckpointError("checksum mismatch in header")
         try:
             header = json.loads(raw.decode("utf-8"))
-            cfg = ModelConfig.from_dict(header["config"])
+            cfg = ModelConfig(**header["config"])
             step = int(header["step"])
-        except (ValueError, KeyError, TypeError) as e:
+        except (ValueError, KeyError, TypeError, ConfigError) as e:
             raise CheckpointError(f"corrupt checkpoint header: {e}") from None
 
         while f.tell() < end:

@@ -33,20 +33,17 @@ from .optim import AdamState, train_step
 from .vocab import Vocab, encode_batch, tokenize
 
 
+# BERT's split of the selected positions; the rest keep their original id
+MASK_FRAC, RANDOM_FRAC = 0.8, 0.1
+
+
 @dataclass
 class MaskingConfig:
     select_prob: float = 0.15
-    mask_frac: float = 0.8
-    random_frac: float = 0.1
-    keep_frac: float = 0.1
 
-    def validate(self) -> "MaskingConfig":
+    def __post_init__(self):
         if not 0.0 <= self.select_prob <= 1.0:
             raise ConfigError(f"select_prob must be in [0, 1], got {self.select_prob}")
-        fracs = (self.mask_frac, self.random_frac, self.keep_frac)
-        if any(f < 0 for f in fracs) or abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError(f"mask/random/keep fractions must be >= 0 and sum to 1, got {fracs}")
-        return self
 
 
 @dataclass
@@ -65,7 +62,6 @@ class MaskedBatch:
 def apply_mlm_mask(ids, vocab: Vocab, cfg: MaskingConfig,
                    rng: np.random.Generator) -> MaskedBatch:
     """Corrupt a (batch, length) array of encoded ids for MLM training."""
-    cfg.validate()
     ids = np.asarray(ids, dtype=np.int64)
     attention_mask = (ids != vocab.pad_id).astype(np.int64)
 
@@ -78,8 +74,8 @@ def apply_mlm_mask(ids, vocab: Vocab, cfg: MaskingConfig,
     corrupted = ids.copy()
 
     branch = rng.random(rows.size)
-    to_mask = branch < cfg.mask_frac
-    to_random = (~to_mask) & (branch < cfg.mask_frac + cfg.random_frac)
+    to_mask = branch < MASK_FRAC
+    to_random = (~to_mask) & (branch < MASK_FRAC + RANDOM_FRAC)
     corrupted[rows[to_mask], cols[to_mask]] = vocab.mask_id
     if to_random.any():
         # uniform over non-special ids
@@ -109,7 +105,7 @@ class PretrainConfig:
     checkpoint_every: int = 0  # 0 disables periodic checkpoints
     masking: MaskingConfig = field(default_factory=MaskingConfig)
 
-    def validate(self) -> "PretrainConfig":
+    def __post_init__(self):
         if self.batch_size < 1 or self.max_steps < 1:
             raise ConfigError(
                 f"batch_size and max_steps must be >= 1, got {self.batch_size}, {self.max_steps}"
@@ -121,8 +117,6 @@ class PretrainConfig:
         if min(self.weight_decay, self.seed, self.checkpoint_every) < 0:
             raise ConfigError("weight_decay, seed and checkpoint_every must be >= 0, got "
                               f"{self.weight_decay}, {self.seed}, {self.checkpoint_every}")
-        self.masking.validate()
-        return self
 
 
 def chunk_corpus(texts: Iterable[str], vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,8 +151,6 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
     dropout. Its encoder architecture must equal model_cfg.
     Writes train.log plus periodic/final checkpoints under out_dir if set.
     """
-    cfg.validate()
-    model_cfg.validate()
     rng = np.random.default_rng(cfg.seed)
 
     if init is not None:
@@ -223,7 +215,7 @@ def eval_mlm(ckpt: Checkpoint, texts: Sequence[str], vocab: Vocab,
     The mask draw is pinned by seed, so repeated calls are comparable
     across checkpoints.
     """
-    masking = (masking or MaskingConfig()).validate()
+    masking = masking or MaskingConfig()
     if max_len is None:
         max_len = ckpt.config.max_positions
     pool_ids, _ = chunk_corpus(texts, vocab, min(max_len, ckpt.config.max_positions))

@@ -262,7 +262,7 @@ def test_05_continued_pretraining_transfers():
         _, h_pre = finetune_classifier(ck_ab, vocab, cls_train, cls_dev, ccfg)
         _, h_rnd = finetune_classifier(random_encoder, vocab, cls_train,
                                        cls_dev, ccfg)
-        scfg = Seq2SeqTaskConfig(task="AMCT", batch_size=10, decoder_layers=1,
+        scfg = Seq2SeqTaskConfig(batch_size=10, decoder_layers=1,
                                  warmup_steps=40, epochs=20, bleu_n=2,
                                  max_len=8, max_decode_len=6, dropout=0.0,
                                  seed=seed)
@@ -299,7 +299,7 @@ def test_06_copy_task_reaches_high_bleu():
         n = int(rng.integers(4, 7))
         toks = [pool[int(i)] for i in rng.integers(0, 10, size=n)]
         pairs.append(ParallelExample(list(toks), list(toks), "AMCT"))
-    cfg = Seq2SeqTaskConfig(task="AMCT", batch_size=10, decoder_layers=1,
+    cfg = Seq2SeqTaskConfig(batch_size=10, decoder_layers=1,
                             warmup_steps=50, epochs=45, bleu_n=4, max_len=10,
                             max_decode_len=8, dropout=0.0, seed=2)
     _, history = finetune_seq2seq(encoder, vocab, pairs, pairs, cfg)

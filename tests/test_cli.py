@@ -138,7 +138,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     def test_rejected_config_leaves_no_output(self, workspace, command):
-        # argparse accepts -1; only the config's validate rejects it
+        # argparse accepts -1; only the config's own checks reject it
         d = workspace["dir"]
         save_tiny_encoder(d)
         out = d / "out"
@@ -150,6 +150,15 @@ class TestExitCodes:
         }[command]
         assert main(argv + ["--seed", "-1"]) == 2
         assert not out.exists()
+
+    def test_config_is_rejected_before_any_input_is_read(self, workspace, capsys):
+        d = workspace["dir"]
+        save_tiny_encoder(d)
+        argv = tiny_pretrain_argv(str(d / "no-corpus.txt"), str(d / "vocab.txt"), d / "pre")
+        assert main(argv + ["--hidden", "64", "--heads", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "hidden_size 64 not divisible by num_heads 5" in err
+        assert "no-corpus" not in err and not (d / "pre").exists()
 
 
 class TestPipeline:

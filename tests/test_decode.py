@@ -228,14 +228,14 @@ class TestTopK:
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ConfigError):
-            DecodeConfig(strategy="sample").validate()
+            DecodeConfig(strategy="sample")
         with pytest.raises(ConfigError):
-            DecodeConfig(beam_size=0).validate()
+            DecodeConfig(beam_size=0)
         with pytest.raises(ConfigError):
-            DecodeConfig(max_decode_len=0).validate()
+            DecodeConfig(max_decode_len=0)
         with pytest.raises(ConfigError):
-            DecodeConfig(length_penalty=-0.5).validate()
-        assert DecodeConfig().validate() is not None
+            DecodeConfig(length_penalty=-0.5)
+        DecodeConfig()
 
 
 @pytest.fixture(scope="module")

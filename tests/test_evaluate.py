@@ -318,3 +318,16 @@ class TestAggregate:
         sheets[0].rename(renamed)
         with pytest.raises(SheetError, match="missing from key"):
             aggregate_sheets([renamed], key)
+
+    def test_repeated_rows_rejected(self, tmp_path):
+        # a repeated row or sheet would be counted twice and skew the means
+        sheets, key = make_eval_sheets(sample_items(num_systems=2, per_system=2),
+                                       1, tmp_path, seed=0)
+        fill_sheets(sheets, lambda s, t, a: 1, key)
+        with pytest.raises(SheetError, match=f"{sheets[0].name} row 1 given more than once"):
+            aggregate_sheets(sheets + sheets, key)
+        lines = sheets[0].read_text(encoding="utf-8").splitlines()
+        first = next(ln for ln in lines if ln.startswith("1\t"))
+        sheets[0].write_text("\n".join(lines + [first]) + "\n", encoding="utf-8")
+        with pytest.raises(SheetError, match="row 1 given more than once"):
+            aggregate_sheets(sheets, key)

@@ -90,7 +90,7 @@ def seeded_seq2seq_run(encoder, vocab, freeze_encoder):
     """Three epochs with dropout on; the fixture encoder's own rate is overridden."""
     rng = np.random.default_rng(12)
     train, dev = copy_pairs(rng, 10), copy_pairs(rng, 4)
-    cfg = Seq2SeqTaskConfig(task="AMCT", batch_size=4, decoder_layers=1,
+    cfg = Seq2SeqTaskConfig(batch_size=4, decoder_layers=1,
                             warmup_steps=10, epochs=3, bleu_n=2, max_len=8,
                             max_decode_len=5, dropout=0.1, seed=5,
                             freeze_encoder=freeze_encoder)
@@ -148,11 +148,11 @@ class TestTaskConfig:
 
     def test_invalid_values(self):
         with pytest.raises(ConfigError):
-            ClsTaskConfig(num_classes=1).validate()
+            ClsTaskConfig(num_classes=1)
         with pytest.raises(ConfigError):
-            ClsTaskConfig(dropout=1.0).validate()
+            ClsTaskConfig(dropout=1.0)
         with pytest.raises(ConfigError):
-            Seq2SeqTaskConfig(warmup_steps=0).validate()
+            Seq2SeqTaskConfig(warmup_steps=0)
 
 
 class TestClassifier:
@@ -295,7 +295,7 @@ class TestSeq2Seq:
         encoder, vocab = tiny_encoder
         rng = np.random.default_rng(7)
         pairs = copy_pairs(rng, 20)
-        cfg = Seq2SeqTaskConfig(task="AMCT", batch_size=5, decoder_layers=1,
+        cfg = Seq2SeqTaskConfig(batch_size=5, decoder_layers=1,
                                 warmup_steps=50, epochs=40, bleu_n=2,
                                 max_len=8, max_decode_len=5, dropout=0.0,
                                 seed=2)
@@ -333,7 +333,7 @@ class TestSeq2Seq:
         encoder, vocab = tiny_encoder
         rng = np.random.default_rng(9)
         pairs = copy_pairs(rng, 8)
-        cfg = Seq2SeqTaskConfig(task="AMCT", batch_size=4, decoder_layers=1,
+        cfg = Seq2SeqTaskConfig(batch_size=4, decoder_layers=1,
                                 warmup_steps=10, epochs=2, bleu_n=2,
                                 max_len=8, max_decode_len=5, dropout=0.0,
                                 seed=3, freeze_encoder=True)
@@ -384,14 +384,14 @@ class TestSeq2Seq:
         encoder, vocab = tiny_encoder
         rng = np.random.default_rng(2)
         pairs = copy_pairs(rng, 2, length=7)
-        cfg = Seq2SeqTaskConfig(task="AMCT", batch_size=2, decoder_layers=1,
+        cfg = Seq2SeqTaskConfig(batch_size=2, decoder_layers=1,
                                 epochs=1, max_len=8, dropout=0.0)
         with pytest.raises(DatasetError, match="max_len"):
             finetune_seq2seq(encoder, vocab, pairs, pairs, cfg)
 
     def test_empty_sets_rejected(self, tiny_encoder):
         encoder, vocab = tiny_encoder
-        cfg = Seq2SeqTaskConfig(task="AMCT", epochs=1, dropout=0.0)
+        cfg = Seq2SeqTaskConfig(epochs=1, dropout=0.0)
         with pytest.raises(DatasetError):
             finetune_seq2seq(encoder, vocab, [], [], cfg)
 

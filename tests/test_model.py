@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -545,6 +546,23 @@ class TestCheckpointIO:
         assert blob.count(old) == 1
         path.write_bytes(blob.replace(old, new))
         with pytest.raises(CheckpointError, match="checksum mismatch in header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_header_config_that_fails_its_checks_is_a_checkpoint_error(
+            self, tmp_path, enc_ckpt, version):
+        # version 2 has no header CRC; in version 3 the edit carries a fresh one
+        path = tmp_path / "model.ckpt"
+        (old_save_checkpoint_v2 if version == 2 else save_checkpoint)(enc_ckpt, path)
+        blob = bytearray(path.read_bytes())
+        header_len = struct.unpack_from("<Q", blob, 8)[0]
+        header = bytes(blob[16 : 16 + header_len])
+        assert header.count(b'"num_heads": 2') == 1
+        blob[16 : 16 + header_len] = header.replace(b'"num_heads": 2', b'"num_heads": 3')
+        if version == 3:
+            struct.pack_into("<I", blob, 16 + header_len, zlib.crc32(blob[16 : 16 + header_len]))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="not divisible by num_heads 3"):
             load_checkpoint(path)
 
     def test_load_peak_memory_stays_near_file_size(self, tmp_path):

@@ -81,16 +81,12 @@ def encode_batch(texts, vocab, max_len):
 
 
 class TestMaskingConfig:
-    def test_fractions_must_sum_to_one(self):
-        with pytest.raises(ConfigError, match="sum to 1"):
-            MaskingConfig(mask_frac=0.8, random_frac=0.3, keep_frac=0.1).validate()
-
     def test_select_prob_zero_allowed(self):
-        MaskingConfig(select_prob=0.0).validate()
+        MaskingConfig(select_prob=0.0)
 
     def test_select_prob_range(self):
         with pytest.raises(ConfigError, match="select_prob"):
-            MaskingConfig(select_prob=1.5).validate()
+            MaskingConfig(select_prob=1.5)
 
 
 class TestApplyMask:
@@ -101,26 +97,28 @@ class TestApplyMask:
         assert np.array_equal(batch.input_ids, ids)
         assert batch.num_labels == 0
 
-    def test_select_one_mask_one_masks_every_body_token(self, vocab):
-        ids, _ = encode_batch(["山水风花"], vocab, 8)
-        cfg = MaskingConfig(select_prob=1.0, mask_frac=1.0, random_frac=0.0, keep_frac=0.0)
-        batch = apply_mlm_mask(ids, vocab, cfg, np.random.default_rng(0))
+    def test_each_branch_follows_its_replayed_draw(self, vocab):
+        # at select_prob 1 every body token is selected; replaying the generator's
+        # selection and branch draws tells which of the 80/10/10 branches each took
+        ids, _ = encode_batch(["山水风花雪月", "街春江夜湖海", "山街水春风江"], vocab, 10)
+        batch = apply_mlm_mask(ids, vocab, MaskingConfig(select_prob=1.0),
+                               np.random.default_rng(3))
+        replay = np.random.default_rng(3)
+        replay.random(ids.shape)
+        branch = replay.random(batch.num_labels)
         body = ~np.isin(ids, sorted(vocab.special_ids))
-        assert np.all(batch.input_ids[body] == vocab.mask_id)
         assert batch.num_labels == int(body.sum())
-
-    def test_labels_store_precorruption_ids(self, vocab):
-        ids, _ = encode_batch(["山水风花雪月"], vocab, 10)
-        cfg = MaskingConfig(select_prob=1.0, mask_frac=0.0, random_frac=1.0, keep_frac=0.0)
-        batch = apply_mlm_mask(ids, vocab, cfg, np.random.default_rng(1))
+        assert np.array_equal(batch.input_ids[~body], ids[~body])
         assert np.array_equal(batch.label_ids, ids[batch.label_rows, batch.label_cols])
-
-    def test_keep_branch_labels_but_does_not_change_input(self, vocab):
-        ids, _ = encode_batch(["山水风花"], vocab, 8)
-        cfg = MaskingConfig(select_prob=1.0, mask_frac=0.0, random_frac=0.0, keep_frac=1.0)
-        batch = apply_mlm_mask(ids, vocab, cfg, np.random.default_rng(2))
-        assert np.array_equal(batch.input_ids, ids)
-        assert batch.num_labels > 0
+        got = batch.input_ids[batch.label_rows, batch.label_cols]
+        masked, kept = branch < 0.8, branch >= 0.9
+        random = ~masked & ~kept
+        assert masked.any() and random.any() and kept.any()
+        assert np.all(got[masked] == vocab.mask_id)
+        # each random id is the pool entry of the generator's next integer draw
+        pool = np.setdiff1d(np.arange(len(vocab)), sorted(vocab.special_ids))
+        assert np.array_equal(got[random], pool[replay.integers(0, pool.size, random.sum())])
+        assert np.array_equal(got[kept], batch.label_ids[kept])
 
     def test_specials_never_selected_or_produced(self, vocab):
         rng = np.random.default_rng(3)
