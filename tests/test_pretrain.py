@@ -97,6 +97,34 @@ class TestApplyMask:
         assert np.array_equal(batch.input_ids, ids)
         assert batch.num_labels == 0
 
+    # the three tests below pin the 80/10/10 split to one branch at a time
+    def test_select_one_mask_one_masks_every_body_token(self, vocab, monkeypatch):
+        monkeypatch.setattr(pretrain_module, "MASK_FRAC", 1.0)
+        monkeypatch.setattr(pretrain_module, "RANDOM_FRAC", 0.0)
+        ids, _ = encode_batch(["山水风花"], vocab, 8)
+        batch = apply_mlm_mask(ids, vocab, MaskingConfig(select_prob=1.0),
+                               np.random.default_rng(0))
+        body = ~np.isin(ids, sorted(vocab.special_ids))
+        assert np.all(batch.input_ids[body] == vocab.mask_id)
+        assert batch.num_labels == int(body.sum())
+
+    def test_labels_store_precorruption_ids(self, vocab, monkeypatch):
+        monkeypatch.setattr(pretrain_module, "MASK_FRAC", 0.0)
+        monkeypatch.setattr(pretrain_module, "RANDOM_FRAC", 1.0)
+        ids, _ = encode_batch(["山水风花雪月"], vocab, 10)
+        batch = apply_mlm_mask(ids, vocab, MaskingConfig(select_prob=1.0),
+                               np.random.default_rng(1))
+        assert np.array_equal(batch.label_ids, ids[batch.label_rows, batch.label_cols])
+
+    def test_keep_branch_labels_but_does_not_change_input(self, vocab, monkeypatch):
+        monkeypatch.setattr(pretrain_module, "MASK_FRAC", 0.0)
+        monkeypatch.setattr(pretrain_module, "RANDOM_FRAC", 0.0)
+        ids, _ = encode_batch(["山水风花"], vocab, 8)
+        batch = apply_mlm_mask(ids, vocab, MaskingConfig(select_prob=1.0),
+                               np.random.default_rng(2))
+        assert np.array_equal(batch.input_ids, ids)
+        assert batch.num_labels > 0
+
     def test_each_branch_follows_its_replayed_draw(self, vocab):
         # at select_prob 1 every body token is selected; replaying the generator's
         # selection and branch draws tells which of the 80/10/10 branches each took
