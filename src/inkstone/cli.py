@@ -98,6 +98,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    from dataclasses import replace
+
     from .corpus import read_blocks
     from .model import ModelConfig, load_checkpoint
     from .pretrain import MaskingConfig, PretrainConfig, pretrain
@@ -107,7 +109,7 @@ def cmd_pretrain(args) -> int:
     init = load_checkpoint(args.init) if args.init else None
     if init is not None:
         # the shape comes from the checkpoint, dropout from the command line
-        model_cfg = ModelConfig(**{**init.config.to_dict(), "dropout_rate": args.dropout})
+        model_cfg = replace(init.config, dropout_rate=args.dropout)
     else:
         model_cfg = ModelConfig(
             vocab_size=len(vocab), num_layers=args.layers,

@@ -30,7 +30,7 @@ from .vocab import Vocab, decode as decode_ids, encode_batch, tokenize
 StepFn = Callable[[Sequence[int], np.ndarray], np.ndarray]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecodeConfig:
     strategy: str = "greedy"
     beam_size: int = 4

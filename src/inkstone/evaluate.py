@@ -70,27 +70,17 @@ def bleu(candidates: Sequence[Tokens], references: Sequence[Tokens],
             totals[n - 1] += sum(cgrams.values())
             matches[n - 1] += sum(min(c, rgrams[g]) for g, c in cgrams.items())
 
-    raw = [m / t if t else 0.0 for m, t in zip(matches, totals)]
     bp = 1.0 if cand_len >= ref_len else (
         math.exp(1.0 - ref_len / cand_len) if cand_len > 0 else 0.0)
     if cand_len == 0 or matches[0] == 0:
-        return BleuReport(0.0, raw, matches, totals, bp, cand_len, ref_len,
+        return BleuReport(0.0, [0.0] * max_n, matches, totals, bp, cand_len, ref_len,
                           len(candidates))
-    effective = []
-    for n in range(1, max_n + 1):
-        m, t = matches[n - 1], totals[n - 1]
-        if t == 0:
-            # candidates shorter than n grams; skip the order entirely
-            p = None
-        elif m == 0 and n >= 2:
-            p = (m + 1) / (t + 1)
-        else:
-            p = m / t
-        effective.append(p)
-    used = [p for p in effective if p is not None]
-    score = 100.0 * bp * math.exp(sum(math.log(p) for p in used) / len(used))
-    return BleuReport(score, [p if p is not None else 0.0 for p in effective],
-                      matches, totals, bp, cand_len, ref_len, len(candidates))
+    # an order with no candidate n-grams reads 0.0 and is left out of the mean
+    precisions = [(m / t if m else 1 / (t + 1)) if t else 0.0 for m, t in zip(matches, totals)]
+    logs = [math.log(p) for p, t in zip(precisions, totals) if t]
+    score = 100.0 * bp * math.exp(sum(logs) / len(logs))
+    return BleuReport(score, precisions, matches, totals, bp, cand_len, ref_len,
+                      len(candidates))
 
 
 def accuracy(predictions: Sequence[int], labels: Sequence[int]) -> float:

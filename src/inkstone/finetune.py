@@ -9,7 +9,7 @@ best dev metric (ties go to the later epoch).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ from .optim import AdamState, noam_lr, train_step
 from .vocab import Vocab, encode_batch, tokenize
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClsTaskConfig:
     num_classes: int = 2
     batch_size: int = 24
@@ -52,7 +52,7 @@ class ClsTaskConfig:
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Seq2SeqTaskConfig:
     batch_size: int = 30
     decoder_layers: int = 4
@@ -162,7 +162,7 @@ def finetune_classifier(encoder_ckpt: Checkpoint, vocab: Vocab,
             raise DatasetError(f"label {label} outside [0, {cfg.num_classes}) for {text!r}")
 
     ckpt = encoder_ckpt.copy()
-    ckpt.config.dropout_rate = cfg.dropout
+    ckpt.config = replace(ckpt.config, dropout_rate=cfg.dropout)
     ensure_cls_head(ckpt, cfg.num_classes, init_seed=cfg.seed)
     rng = np.random.default_rng(cfg.seed)
     max_len = min(cfg.max_len, ckpt.config.max_positions)
@@ -173,7 +173,7 @@ def finetune_classifier(encoder_ckpt: Checkpoint, vocab: Vocab,
     def batch_loss(idx):
         out = encoder_forward(ckpt, ids_all[idx], mask_all[idx], rng=rng)
         logits = cls_head(ckpt, out.pooled, rng=rng)
-        return T.cross_entropy_masked(logits, np.arange(idx.size), labels_all[idx])
+        return T.cross_entropy_masked(logits, labels_all[idx])
 
     def dev_accuracy():
         preds = classify(ckpt, vocab, [t for t, _ in dev_data], max_len)
@@ -206,7 +206,7 @@ def seq2seq_loss(ckpt: Checkpoint, vocab: Vocab, pairs: Sequence[ParallelExample
     hidden = decoder_stack(ckpt, dec_in, enc.hidden, src_mask, rng=rng)
     # project the labelled rows only, as pretraining does before mlm_head
     logits = decoder_head(ckpt, T.gather(hidden, (rows, cols)))
-    return T.cross_entropy_masked(logits, np.arange(rows.size), labels)
+    return T.cross_entropy_masked(logits, labels)
 
 
 def dev_bleu(ckpt: Checkpoint, vocab: Vocab, pairs: Sequence[ParallelExample],
@@ -242,7 +242,7 @@ def finetune_seq2seq(encoder_ckpt: Checkpoint, vocab: Vocab,
 
     ckpt = init_seq2seq_from_encoder(encoder_ckpt, cfg.decoder_layers,
                                      init_seed=cfg.seed)
-    ckpt.config.dropout_rate = cfg.dropout
+    ckpt.config = replace(ckpt.config, dropout_rate=cfg.dropout)
     rng = np.random.default_rng(cfg.seed)
     d_model = ckpt.config.hidden_size
     pairs = list(train_pairs)

@@ -20,7 +20,7 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ FORMAT_VERSION = 3
 NEG_INF = -1e9  # additive attention mask for excluded keys
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     vocab_size: int
     num_layers: int = 12
@@ -46,8 +46,12 @@ class ModelConfig:
     decoder_layers: int = 0
 
     def __post_init__(self):
+        sizes = (self.vocab_size, self.num_layers, self.hidden_size, self.num_heads,
+                 self.ff_size, self.max_positions, self.num_segments, self.decoder_layers)
+        if any(type(v) is not int for v in sizes):
+            raise ConfigError(f"size fields must be integers: {self}")
         if self.ff_size == 0:
-            self.ff_size = 4 * self.hidden_size
+            object.__setattr__(self, "ff_size", 4 * self.hidden_size)
         if min(self.vocab_size, self.num_layers, self.hidden_size, self.num_heads,
                self.ff_size, self.num_segments) < 1:
             raise ConfigError(f"all size fields must be positive: {self}")
@@ -66,9 +70,6 @@ class ModelConfig:
         return (self.vocab_size, self.num_layers, self.hidden_size, self.num_heads,
                 self.ff_size, self.max_positions, self.num_segments)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class Checkpoint:
@@ -78,7 +79,7 @@ class Checkpoint:
 
     def copy(self) -> "Checkpoint":
         params = {k: T.parameter(v.data.copy()) for k, v in self.params.items()}
-        return Checkpoint(ModelConfig(**self.config.to_dict()), params, self.step)
+        return Checkpoint(self.config, params, self.step)
 
 
 def _attention_block(spec: dict, prefix: str, hidden: int) -> None:
@@ -432,7 +433,7 @@ def init_seq2seq_from_encoder(enc_ckpt: Checkpoint, decoder_layers: int,
     """Adopt encoder weights, freshly initialize a decoder of given depth."""
     if decoder_layers < 1:
         raise ConfigError(f"decoder_layers must be >= 1, got {decoder_layers}")
-    cfg = ModelConfig(**{**enc_ckpt.config.to_dict(), "decoder_layers": decoder_layers})
+    cfg = replace(enc_ckpt.config, decoder_layers=decoder_layers)
     ckpt = build_model(cfg, init_seed=init_seed)
     enc_names = set(parameter_spec(enc_ckpt.config))
     for name in enc_names:
@@ -460,7 +461,7 @@ def _write_tensor(f, name: str, arr: np.ndarray) -> None:
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write via <name>.tmp and rename it, so a failed save leaves path as it was."""
     path = Path(path)
-    header = {"config": ckpt.config.to_dict(), "step": ckpt.step}
+    header = {"config": asdict(ckpt.config), "step": ckpt.step}
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
@@ -517,7 +518,9 @@ def load_checkpoint(path) -> Checkpoint:
         try:
             header = json.loads(raw.decode("utf-8"))
             cfg = ModelConfig(**header["config"])
-            step = int(header["step"])
+            step = header["step"]
+            if type(step) is not int or step < 0:
+                raise ValueError(f"step must be a non-negative integer, got {step!r}")
         except (ValueError, KeyError, TypeError, ConfigError) as e:
             raise CheckpointError(f"corrupt checkpoint header: {e}") from None
 

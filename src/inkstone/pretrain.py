@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .vocab import Vocab, encode_batch, tokenize
 MASK_FRAC, RANDOM_FRAC = 0.8, 0.1
 
 
-@dataclass
+@dataclass(frozen=True)
 class MaskingConfig:
     select_prob: float = 0.15
 
@@ -94,7 +94,7 @@ def apply_mlm_mask(ids, vocab: Vocab, cfg: MaskingConfig,
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class PretrainConfig:
     learning_rate: float = 1e-4
     weight_decay: float = 0.01
@@ -160,7 +160,7 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
                 f"requested {model_cfg.encoder_arch()}"
             )
         ckpt = init
-        ckpt.config.dropout_rate = model_cfg.dropout_rate
+        ckpt.config = replace(ckpt.config, dropout_rate=model_cfg.dropout_rate)
     else:
         ckpt = build_model(model_cfg, init_seed=cfg.seed)
     ensure_mlm_head(ckpt, init_seed=cfg.seed + 1)
@@ -189,8 +189,7 @@ def pretrain(corpus: Iterable[str], vocab: Vocab, model_cfg: ModelConfig,
             out = encoder_forward(ckpt, batch.input_ids, batch.attention_mask, rng=rng)
             # the head projects only the labelled rows, as BERT's gather_indexes does
             labelled = T.gather(out.hidden, (batch.label_rows, batch.label_cols))
-            loss = T.cross_entropy_masked(mlm_head(ckpt, labelled),
-                                          np.arange(batch.num_labels), batch.label_ids)
+            loss = T.cross_entropy_masked(mlm_head(ckpt, labelled), batch.label_ids)
             loss_value = train_step(ckpt.params, loss, state, cfg.learning_rate,
                                     weight_decay=cfg.weight_decay)
 

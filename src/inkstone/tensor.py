@@ -445,11 +445,9 @@ def gather(x: Tensor, index) -> Tensor:
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout with a bool keep mask; draws one rng.random(x.shape) per call."""
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if not 0.0 < rate < 1.0:
+        raise ValueError(f"dropout rate must be in (0, 1), got {rate}")
     x = as_tensor(x)
-    if rate == 0.0:
-        return x
     keep = rng.random(x.data.shape) >= rate
     c = x.data.dtype.type(1.0) / x.data.dtype.type(1.0 - rate)
     out = x.data * c
@@ -463,33 +461,24 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     return _result(out, (x,), backward_fn)
 
 
-def cross_entropy_masked(logits: Tensor, positions, label_ids) -> Tensor:
-    """Mean negative log-likelihood over the labeled rows of a (rows, vocab) tensor.
+def cross_entropy_masked(logits: Tensor, label_ids) -> Tensor:
+    """Mean negative log-likelihood of a (rows, vocab) tensor, one label per row.
 
-    positions/label_ids are parallel integer arrays. Unless positions is
-    every row in order, the labelled rows are gathered first, so only
-    gather scatters the gradient back and everything else gets zero.
+    The caller gathers the labelled rows first, so only gather scatters
+    the gradient back.
     """
     logits = as_tensor(logits)
     if logits.ndim != 2:
         raise ValueError(f"cross_entropy_masked expects rank 2 logits, got {logits.shape}")
-    positions = np.asarray(positions, dtype=np.int64).reshape(-1)
     label_ids = np.asarray(label_ids, dtype=np.int64).reshape(-1)
-    if positions.shape != label_ids.shape:
-        raise ValueError(
-            f"positions and labels disagree: {positions.shape} vs {label_ids.shape}"
-        )
-    if positions.size == 0:
+    if label_ids.size == 0:
         raise EmptyBatchError("empty label batch: loss over zero positions is undefined")
-    n_rows, n_classes = logits.shape
-    if positions.min() < 0 or positions.max() >= n_rows:
-        raise ValueError(f"label position out of range for {n_rows} rows")
+    n, n_classes = logits.shape
+    if label_ids.size != n:
+        raise ValueError(f"{label_ids.size} labels for {n} rows")
     if label_ids.min() < 0 or label_ids.max() >= n_classes:
         raise ValueError(f"label id out of range for {n_classes} classes")
 
-    n = positions.size
-    if n != n_rows or not np.array_equal(positions, np.arange(n)):
-        logits = gather(logits, positions)
     rows = logits.data
     m = rows.max(axis=-1, keepdims=True)
     e = rows - m

@@ -10,6 +10,7 @@ import math
 import os
 import struct
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -325,7 +326,7 @@ def _write_tensor(f, name, arr):
 
 
 def old_save_checkpoint_v1(ckpt, path):
-    header = {"config": ckpt.config.to_dict(), "step": ckpt.step}
+    header = {"config": asdict(ckpt.config), "step": ckpt.step}
     with open(path, "wb") as f:
         f.write(b"ANCH")
         f.write(struct.pack("<I", 1))
@@ -351,7 +352,7 @@ def _write_tensor_v2(f, name, arr):
 def old_save_checkpoint_v2(ckpt, path):
     """Write via <name>.tmp and rename it, so a failed save leaves path as it was."""
     path = Path(path)
-    header = {"config": ckpt.config.to_dict(), "step": ckpt.step}
+    header = {"config": asdict(ckpt.config), "step": ckpt.step}
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:

@@ -85,9 +85,8 @@ def test_01_gradients_match_finite_differences():
     def encoder_loss():
         out = encoder_forward(ckpt, ids, mask)
         logits = T.reshape(mlm_head(ckpt, out.hidden), (2 * 12, 100))
-        mlm = T.cross_entropy_masked(logits, rows * 12 + cols, labels)
-        cls = T.cross_entropy_masked(cls_head(ckpt, out.pooled),
-                                     np.arange(2), cls_labels)
+        mlm = T.cross_entropy_masked(T.gather(logits, rows * 12 + cols), labels)
+        cls = T.cross_entropy_masked(cls_head(ckpt, out.pooled), cls_labels)
         return T.add(mlm, cls)
 
     err_enc = T.grad_check(encoder_loss, ckpt.params.values(), eps=1e-4)
@@ -109,7 +108,7 @@ def test_01_gradients_match_finite_differences():
         enc = encoder_forward(seq, src, smask)
         logits = decoder_forward(seq, tgt, enc.hidden, smask)
         flat = T.reshape(logits, (2 * 6, 30))
-        return T.cross_entropy_masked(flat, drows * 6 + dcols, dlabels)
+        return T.cross_entropy_masked(T.gather(flat, drows * 6 + dcols), dlabels)
 
     dec_params = [p for n, p in seq.params.items() if n.startswith("dec.")]
     err_dec = T.grad_check(decoder_loss, dec_params, eps=1e-4)

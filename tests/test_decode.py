@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,9 @@ from inkstone.decode import (
     greedy_from_step,
 )
 from inkstone.errors import ConfigError
+from inkstone.finetune import ClsTaskConfig, Seq2SeqTaskConfig
 from inkstone.model import ModelConfig, build_model, decoder_forward, encoder_forward
+from inkstone.pretrain import MaskingConfig, PretrainConfig
 from inkstone.vocab import SPECIAL_TOKENS, build_vocab, encode, tokenize
 
 
@@ -236,6 +239,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             DecodeConfig(length_penalty=-0.5)
         DecodeConfig()
+
+    def test_a_built_config_cannot_change(self):
+        cfg = DecodeConfig(strategy="beam")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.beam_size = 0
+        with pytest.raises(ConfigError, match="beam_size"):
+            dataclasses.replace(cfg, beam_size=0)
+
+    @pytest.mark.parametrize("cfg", [ModelConfig(vocab_size=8), MaskingConfig(), PretrainConfig(),
+                                     ClsTaskConfig(), Seq2SeqTaskConfig(), DecodeConfig()],
+                             ids=lambda cfg: type(cfg).__name__)
+    def test_every_config_is_frozen(self, cfg):
+        name = dataclasses.fields(cfg)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, getattr(cfg, name))
 
 
 @pytest.fixture(scope="module")

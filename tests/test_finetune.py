@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -245,7 +247,7 @@ class TestSeq2Seq:
         rng = np.random.default_rng(3)
         pairs = [copy_pairs(rng, 1, length=n)[0] for n in lengths]
         ckpt = init_seq2seq_from_encoder(encoder, 2, init_seed=4)
-        ckpt.config.dropout_rate = 0.1
+        ckpt.config = replace(ckpt.config, dropout_rate=0.1)
         for p in ckpt.params.values():
             p.data = p.data.astype(dtype)
         runs = []

@@ -4,6 +4,7 @@ import json
 import struct
 import tracemalloc
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ def legacy_checkpoint_parts(ckpt):
         return (struct.pack("<Q", len(raw)) + raw + struct.pack("<Q", arr.ndim)
                 + dims + arr.tobytes())
 
-    header = json.dumps({"config": ckpt.config.to_dict(), "step": ckpt.step,
+    header = json.dumps({"config": asdict(ckpt.config), "step": ckpt.step,
                          "opt_t": 7}, sort_keys=True).encode("utf-8")
     weights = b"ANCH" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header
     weights += b"".join(record(n, ckpt.params[n].data) for n in sorted(ckpt.params))
@@ -311,7 +312,7 @@ class TestHeads:
         ensure_mlm_head(enc_ckpt, init_seed=1)
         out = encoder_forward(enc_ckpt, np.array([[2, 3, 4]]))
         loss = T.cross_entropy_masked(
-            T.reshape(mlm_head(enc_ckpt, out.hidden), (3, 20)), [1], [5])
+            T.gather(T.reshape(mlm_head(enc_ckpt, out.hidden), (3, 20)), [1]), [5])
         T.backward(loss)
         assert enc_ckpt.params["emb.token"].grad is not None
         assert np.abs(enc_ckpt.params["emb.token"].grad).sum() > 0
@@ -339,7 +340,7 @@ class TestGradients:
         def build():
             out = encoder_forward(ckpt, ids, mask)
             logits = T.reshape(mlm_head(ckpt, out.hidden), (8, 12))
-            return T.cross_entropy_masked(logits, [1, 2, 5], [4, 9, 2])
+            return T.cross_entropy_masked(T.gather(logits, [1, 2, 5]), [4, 9, 2])
 
         err = T.grad_check(build, list(ckpt.params.values()), eps=1e-4)
         assert err < 1e-3
@@ -354,7 +355,7 @@ class TestGradients:
         def build():
             enc = encoder_forward(ckpt, src)
             logits = decoder_forward(ckpt, tgt, enc.hidden, np.ones((1, 3)))
-            return T.cross_entropy_masked(T.reshape(logits, (3, 8)), [0, 1, 2], [4, 6, 2])
+            return T.cross_entropy_masked(T.reshape(logits, (3, 8)), [4, 6, 2])
 
         err = T.grad_check(build, list(ckpt.params.values()), eps=1e-4)
         assert err < 1e-3
@@ -565,6 +566,30 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="not divisible by num_heads 3"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("old,new", [(b'"num_layers": 1', b'"num_layers": 1.0'),
+                                         (b'"num_layers": 1', b'"num_layers": true'),
+                                         (b'"hidden_size": 16', b'"hidden_size": 16.0'),
+                                         (b'"step": 2', b'"step": 2.5'),
+                                         (b'"step": 2', b'"step": -2')],
+                             ids=["float-size", "bool-size", "float-hidden", "float-step",
+                                  "negative-step"])
+    def test_header_size_or_step_that_is_not_a_count_is_a_checkpoint_error(
+            self, tmp_path, enc_ckpt, version, old, new):
+        # versions 1 and 2 have no header CRC, so an edited header reaches the checks
+        enc_ckpt.step = 2
+        path = tmp_path / "model.ckpt"
+        (old_save_checkpoint_v1 if version == 1 else old_save_checkpoint_v2)(enc_ckpt, path)
+        blob = path.read_bytes()
+        header_len = struct.unpack_from("<Q", blob, 8)[0]
+        header = blob[16 : 16 + header_len]
+        assert header.count(old) == 1
+        header = header.replace(old, new)
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(header)) + header
+                         + blob[16 + header_len :])
+        with pytest.raises(CheckpointError, match="must be .*integer"):
+            load_checkpoint(path)
+
     def test_load_peak_memory_stays_near_file_size(self, tmp_path):
         cfg = toy_config(vocab_size=8192, hidden_size=256, num_heads=4, ff_size=512,
                          max_positions=16)
@@ -626,7 +651,7 @@ class TestGraphHoldsNoActivations:
         ids = rng.integers(5, 20, size=(3, 8))
         out = encoder_forward(ckpt, ids, np.ones((3, 8)), rng=rng)
         labelled = T.gather(out.hidden, (np.array([0, 1, 2, 2]), np.array([1, 3, 0, 7])))
-        loss = T.cross_entropy_masked(mlm_head(ckpt, labelled), np.arange(4), [5, 9, 6, 11])
+        loss = T.cross_entropy_masked(mlm_head(ckpt, labelled), [5, 9, 6, 11])
         assert held_op_outputs(loss) == []
 
     def test_seq2seq_training_graph(self):

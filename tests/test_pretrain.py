@@ -212,7 +212,7 @@ class TestPretrainLoop:
             out = encoder_forward(ckpt, batch.input_ids, batch.attention_mask)
             logits = T.reshape(mlm_head(ckpt, out.hidden), (2 * 9, len(vocab)))
             flat = batch.label_rows * 9 + batch.label_cols
-            return T.cross_entropy_masked(logits, flat, batch.label_ids)
+            return T.cross_entropy_masked(T.gather(logits, flat), batch.label_ids)
 
         before = loss_value()
         T.backward(before)
@@ -376,7 +376,7 @@ class TestPretrainLoop:
             corrupted[0, 2] = vocab.mask_id  # mask one body position by hand
             out = encoder_forward(ckpt, corrupted, mask)
             logits = T.reshape(mlm_head(ckpt, out.hidden), (max_len, len(vocab)))
-            return float(T.cross_entropy_masked(logits, [2], [int(ids[0, 2])]).data)
+            return float(T.cross_entropy_masked(T.gather(logits, [2]), [int(ids[0, 2])]).data)
 
         assert abs(loss_at(9) - loss_at(12)) < 1e-6
 

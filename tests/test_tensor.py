@@ -101,8 +101,8 @@ class TestMatmul:
         b = T.parameter(rng.standard_normal((5, 6)).astype(np.float32) * 0.5)
 
         def build():
-            return T.cross_entropy_masked(T.reshape(T.matmul(a, b), (12, 6)),
-                                          [0, 4, 7, 11], [1, 5, 0, 3])
+            return T.cross_entropy_masked(T.gather(T.reshape(T.matmul(a, b), (12, 6)),
+                                                   [0, 4, 7, 11]), [1, 5, 0, 3])
 
         assert T.grad_check(build, [a, b], eps=1e-3) < 1e-3
         g = rng.standard_normal((3, 4, 6)).astype(np.float32)
@@ -141,7 +141,7 @@ class TestLinear:
 
         def build():
             logits = T.reshape(T.linear(x, w, b), (-1, 6))
-            return T.cross_entropy_masked(logits, [0, 1, 4], [1, 5, 0])
+            return T.cross_entropy_masked(T.gather(logits, [0, 1, 4]), [1, 5, 0])
 
         assert T.grad_check(build, [x, w, b], eps=1e-3) < 1e-3
 
@@ -340,6 +340,11 @@ class TestFusedOps:
         masks = [a for a in held if isinstance(a, np.ndarray) and a.shape == x.shape]
         assert [m.dtype for m in masks] == [np.bool_]
 
+    @pytest.mark.parametrize("rate", [0.0, 1.0])
+    def test_dropout_rate_outside_the_open_interval_raises(self, rate):
+        with pytest.raises(ValueError, match="dropout rate"):
+            T.dropout(T.Tensor(np.ones((2, 3))), rate, np.random.default_rng(0))
+
     def test_dropout_advances_the_rng_as_one_uniform_draw(self, rng):
         a, b = np.random.default_rng(4), np.random.default_rng(4)
         T.dropout(T.Tensor(np.ones((3, 7, 5))), 0.2, a)
@@ -456,19 +461,19 @@ class TestCrossEntropy:
     def test_confident_correct_is_near_zero(self):
         logits = np.zeros((1, 100), dtype=np.float32)
         logits[0, 7] = 20.0
-        loss = T.cross_entropy_masked(T.Tensor(logits), [0], [7])
+        loss = T.cross_entropy_masked(T.Tensor(logits), [7])
         assert float(loss.data) < 1e-6
 
     def test_uniform_logits_give_log_vocab(self):
         v = 37
-        loss = T.cross_entropy_masked(T.Tensor(np.zeros((3, v))), [0, 1, 2], [5, 0, 36])
+        loss = T.cross_entropy_masked(T.Tensor(np.zeros((3, v))), [5, 0, 36])
         assert abs(float(loss.data) - math.log(v)) < 1e-5
 
     def test_matches_hand_summed_oracle(self, rng):
         logits = rng.standard_normal((6, 5)).astype(np.float32)
         positions = [0, 2, 5]
         labels = [1, 4, 0]
-        loss = float(T.cross_entropy_masked(T.Tensor(logits), positions, labels).data)
+        loss = float(T.cross_entropy_masked(T.gather(T.Tensor(logits), positions), labels).data)
         total = 0.0
         for pos, lab in zip(positions, labels):
             row = [float(v) for v in logits[pos]]
@@ -480,7 +485,7 @@ class TestCrossEntropy:
     def test_gradient_matches_softmax_oracle(self, rng, positions):
         logits = T.parameter(rng.standard_normal((6, 5)).astype(np.float32))
         labels = [1, 4, 0]
-        T.backward(T.cross_entropy_masked(logits, positions, labels))
+        T.backward(T.cross_entropy_masked(T.gather(logits, positions), labels))
         want = np.zeros((6, 5))
         for pos, lab in zip(positions, labels):
             row = logits.data[pos].astype(np.float64)
@@ -490,41 +495,34 @@ class TestCrossEntropy:
             want[pos] += p / len(positions)  # a repeated row gets both terms
         assert np.allclose(logits.grad, want, rtol=1e-5, atol=1e-7)
 
-    def test_identity_positions_match_the_general_path(self, rng):
+    def test_backward_normalises_the_forward_exp_in_place(self, rng):
         rows, v = 64, 4096
         logits0 = rng.standard_normal((rows, v)).astype(np.float32) * 3
         labels = rng.integers(0, v, rows)
-        ident = T.parameter(logits0)
-        # one extra row the loss ignores sends the same rows down the general path
-        general = T.parameter(np.vstack([logits0, logits0[:1]]))
-        loss_i = T.cross_entropy_masked(ident, np.arange(rows), labels)
-        loss_g = T.cross_entropy_masked(general, np.arange(rows), labels)
-        assert np.array_equal(loss_i.data, loss_g.data)
+        logits = T.parameter(logits0)
+        loss = T.cross_entropy_masked(logits, labels)
         tracemalloc.start()
         try:
-            T.backward(loss_i)
+            T.backward(loss)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        T.backward(loss_g)
-        assert np.array_equal(ident.grad, general.grad[:rows])
-        assert not general.grad[rows:].any()
         want_loss, want_grad = formula_cross_entropy(logits0, np.arange(rows), labels)
-        assert np.array_equal(loss_i.data, want_loss) and np.array_equal(ident.grad, want_grad)
-        # normalised in the forward's exp buffer: no zero-filled (rows, V) array
-        assert peak < ident.data.nbytes / 2
+        assert np.array_equal(loss.data, want_loss) and np.array_equal(logits.grad, want_grad)
+        # no zero-filled (rows, V) array
+        assert peak < logits.data.nbytes / 2
 
     def test_empty_labels_raise(self):
         with pytest.raises(T.EmptyBatchError):
-            T.cross_entropy_masked(T.Tensor(np.zeros((2, 3))), [], [])
+            T.cross_entropy_masked(T.Tensor(np.zeros((2, 3))), [])
 
-    def test_out_of_range_position(self):
-        with pytest.raises(ValueError, match="position"):
-            T.cross_entropy_masked(T.Tensor(np.zeros((2, 3))), [5], [0])
+    def test_label_count_must_match_the_rows(self):
+        with pytest.raises(ValueError, match="2 labels for 3 rows"):
+            T.cross_entropy_masked(T.Tensor(np.zeros((3, 4))), [0, 1])
 
     def test_out_of_range_label(self):
         with pytest.raises(ValueError, match="label id"):
-            T.cross_entropy_masked(T.Tensor(np.zeros((2, 3))), [0], [3])
+            T.cross_entropy_masked(T.Tensor(np.zeros((1, 3))), [3])
 
 
 class TestBackward:
@@ -558,7 +556,7 @@ class TestBackward:
         def build():
             h = T.gelu(T.add(T.matmul(x, w), b))
             s = T.softmax(h, axis=-1)
-            return T.cross_entropy_masked(s, [0, 3], [1, 2])
+            return T.cross_entropy_masked(T.gather(s, [0, 3]), [1, 2])
 
         w.grad = b.grad = None
         T.backward(build())
@@ -652,7 +650,9 @@ class TestSavedArrays:
             h, w, b = T.parameter(h0), T.parameter(w0), T.parameter(b0)
             logits = T.linear(h, w, b)
             ref = weakref.ref(logits.data)
-            loss = T.cross_entropy_masked(logits, positions, [1, 5, 0, 2][:len(positions)])
+            # every row goes to the loss as it is; a subset is gathered first
+            rows = logits if len(positions) == 4 else T.gather(logits, positions)
+            loss = T.cross_entropy_masked(rows, [1, 5, 0, 2][:len(positions)])
             if kept is not None:
                 kept.append(logits)
             del logits
@@ -674,7 +674,7 @@ class TestGather:
         rows, cols = np.array([1, 0, 1, 0]), np.array([2, 0, 2, 1])
 
         def build():
-            return T.cross_entropy_masked(T.gather(x, (rows, cols)), np.arange(4), [0, 3, 2, 1])
+            return T.cross_entropy_masked(T.gather(x, (rows, cols)), [0, 3, 2, 1])
 
         assert T.grad_check(build, [x], eps=1e-3) < 1e-3
         T.backward(build())
@@ -710,7 +710,7 @@ class TestOneScatter:
     def test_loss_matches_its_old_general_path(self, rng, dtype, positions):
         positions, labels = np.array(positions), np.array([3, 0, 6, 6])
         logits = T.parameter(rng.standard_normal((6, 7)) * 3, dtype=dtype)
-        loss = T.cross_entropy_masked(logits, positions, labels)
+        loss = T.cross_entropy_masked(T.gather(logits, positions), labels)
         T.backward(loss)
         want_loss, want_grad = old_cross_entropy_general(logits.data, positions, labels)
         assert np.array_equal(loss.data, want_loss) and loss.dtype == dtype
@@ -734,7 +734,7 @@ class TestGradCheck:
         x = T.Tensor(rng.standard_normal((3, 6)).astype(np.float32))
 
         def build():
-            return T.cross_entropy_masked(T.add(T.matmul(x, w), b), [0, 1, 2], [0, 3, 1])
+            return T.cross_entropy_masked(T.add(T.matmul(x, w), b), [0, 3, 1])
 
         assert T.grad_check(build, [w, b], eps=1e-3) < 1e-3
 
