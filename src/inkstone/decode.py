@@ -16,6 +16,7 @@ terminates and is excluded from the returned body.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -52,11 +53,19 @@ def _top_k(flat: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries, best first, ties in index order.
 
     The same as np.argsort(-flat, kind="stable")[:k], but only the entries
-    at or above the k-th largest value are sorted.
+    at or above a cut are sorted, and only the blocks that can hold one are
+    scanned. The row splits into at least k blocks, so the k-th largest
+    block maximum is a cut at or below the k-th largest entry.
     """
-    k = min(k, flat.size)
-    cut = np.partition(flat, flat.size - k)[flat.size - k]
-    candidates = np.flatnonzero(flat >= cut)
+    n = flat.size
+    k = min(k, n)
+    width = max(1, n // max(k, math.isqrt(n)))
+    starts = np.arange(0, n, width)
+    tops = np.maximum.reduceat(flat, starts)
+    cut = np.partition(tops, tops.size - k)[tops.size - k]
+    idx = (starts[tops >= cut, None] + np.arange(width)).ravel()
+    idx = idx[idx < n]
+    candidates = idx[flat[idx] >= cut]
     return candidates[np.argsort(-flat[candidates], kind="stable")[:k]]
 
 
@@ -71,7 +80,10 @@ def beam_from_step(step_fn: StepFn, eos_id: int, max_len: int, beam_size: int,
     A hypothesis retires when it selects EOS. The result is the finished
     hypothesis with the best length-normalized score (sum of token
     log-probs including EOS, divided by body length ** alpha), or the
-    best unfinished one if nothing finished under the cap.
+    best unfinished one if nothing finished under the cap. At alpha 0 the
+    search stops once no live running score beats the best finished one:
+    a log-prob is at most 0, so no later finish could win, and a tie goes
+    to the earlier finish.
     """
     tokens = np.zeros((1, 0), dtype=np.int64)
     running = np.zeros(1)
@@ -87,6 +99,8 @@ def beam_from_step(step_fn: StepFn, eos_id: int, max_len: int, beam_size: int,
             break
         tokens = np.concatenate([tokens[rows], toks[:, None]], axis=1)
         running = scores[rows, toks]
+        if alpha == 0.0 and finished and running.max() <= max(f[1] for f in finished):
+            break
     pool = finished if finished else list(zip(tokens.tolist(), running.tolist()))
     best_tokens, best_score = max(
         pool, key=lambda item: _normalized(item[1], len(item[0]), alpha)

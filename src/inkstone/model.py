@@ -245,38 +245,32 @@ def _multi_head_attention(p, prefix: str, q_in, kv_in, add_mask, num_heads: int,
     """Standard scaled dot-product attention over num_heads subspaces.
 
     Keys and values keep kv_in's own batch, so a batch of one broadcasts
-    over the queries. With a cache, the keys and values of kv_in are
-    appended to cache[prefix]; kv_in None attends to cache[prefix] as is.
+    over the queries. With a cache, the keys and values of kv_in are split
+    into heads and appended to cache[prefix]; kv_in None attends to
+    cache[prefix] as is.
     """
-    batch, q_len, hidden = q_in.shape
-    dh = hidden // num_heads
-
-    def heads(x):
-        x = T.reshape(x, (x.shape[0], x.shape[1], num_heads, dh))
-        return T.transpose(x, (0, 2, 1, 3))
-
-    q = heads(T.linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"]))
+    q = T.linear(q_in, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
     if kv_in is None:
         k, v = (T.Tensor(a) for a in cache[prefix])
     else:
-        k = heads(T.linear(kv_in, p[f"{prefix}.wk"], p[f"{prefix}.bk"]))
-        v = heads(T.linear(kv_in, p[f"{prefix}.wv"], p[f"{prefix}.bv"]))
+        k = T.linear(kv_in, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+        v = T.linear(kv_in, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
         if cache is not None:
+            # split before concatenating: BLAS can round a product with the
+            # contiguous (B, heads, T, dh) result apart from one with a view
+            kv = [x.data.reshape(x.shape[:2] + (num_heads, -1)).transpose(0, 2, 1, 3)
+                  for x in (k, v)]
             if prefix in cache:
-                k, v = (T.Tensor(np.concatenate([old, new.data], axis=2))
-                        for old, new in zip(cache[prefix], (k, v)))
-            cache[prefix] = (k.data, v.data)
-
-    probs = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), axis=-1,
-                      scale=1.0 / np.sqrt(dh), mask=add_mask)
-    ctx = T.matmul(_dropout(probs, drop, rng), v)
-    ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (batch, q_len, hidden))
+                kv = [np.concatenate([old, new], axis=2) for old, new in zip(cache[prefix], kv)]
+            cache[prefix] = tuple(kv)
+            k, v = (T.Tensor(a) for a in kv)
+    ctx = T.attention(q, k, v, num_heads, add_mask, drop, rng)
     return _dropout(T.linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"]), drop, rng)
 
 
 def _ffn(p, prefix: str, x, drop: float, rng) -> T.Tensor:
-    h = T.gelu(T.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-    return _dropout(T.linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"]), drop, rng)
+    h = T.linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"])
+    return _dropout(T.gelu_linear(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"]), drop, rng)
 
 
 def _residual_ln(p, prefix: str, x, sub) -> T.Tensor:

@@ -23,6 +23,17 @@ its tanh. softmax and layer_norm run over tiles of the leading axis,
 gelu and Adam over tiles of the flat array, each tile about _TILE
 elements so the passes over it stay in L2. The arithmetic, and so every
 bit of the result, is that of the whole-array formulas.
+
+Two fused nodes keep less than the chains they replace, and recompute
+the rest in backward with the forward's arithmetic, so their outputs and
+gradients are those of the chains bit for bit. attention keeps q, k, v,
+the additive mask and the bool dropout keep mask, not the (B, heads, Tq,
+Tk) probabilities: backward recomputes the scores, the softmax and the
+dropped probabilities. gelu_linear keeps only gelu's input, not its
+output: backward rebuilds the output from the tanh that gelu's gradient
+recomputes anyway. Neither reruns a weight's GEMM. Their forwards call
+the public ops on graph-free tensors; their backwards call the kernels
+behind those ops directly, so a recompute is not counted as a forward op.
 """
 
 from __future__ import annotations
@@ -114,6 +125,11 @@ def as_tensor(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(x)
+
+
+def _free(a: np.ndarray) -> Tensor:
+    """A graph-free Tensor over a, in a's own dtype."""
+    return Tensor(a, dtype=a.dtype)
 
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward_fn) -> Tensor:
@@ -265,6 +281,15 @@ def softmax(x: Tensor, axis: int = -1, *, scale: float | None = None, mask=None)
     d = x.data
     c = None if scale is None else d.dtype.type(scale)
     mask = None if mask is None else np.asarray(mask, dtype=d.dtype)
+    s = _softmax(d, axis, c, mask)
+    if s.shape != d.shape:
+        raise ValueError(f"softmax mask {mask.shape} does not broadcast to {d.shape}")
+
+    return _result(s, (x,), lambda g: (_softmax_grad(s, g, axis, c),))
+
+
+def _softmax(d: np.ndarray, axis: int, c, mask) -> np.ndarray:
+    """softmax(d * c + mask) along axis, for c and mask already in d's dtype (or None)."""
     rows = d.shape[0] if d.ndim > 1 and axis % d.ndim != 0 else 1
 
     def forward(z, mask, s=None):
@@ -277,22 +302,22 @@ def softmax(x: Tensor, axis: int = -1, *, scale: float | None = None, mask=None)
         s /= s.sum(axis=axis, keepdims=True)
         return (s,)
 
-    s, = _tiled(forward, rows, (d, mask), lambda: (np.empty_like(d),))
-    if s.shape != d.shape:
-        raise ValueError(f"softmax mask {mask.shape} does not broadcast to {d.shape}")
+    return _tiled(forward, rows, (d, mask), lambda: (np.empty_like(d),))[0]
 
-    def backward_fn(g):
-        def grad(s, g, gx=None):
-            gx = np.multiply(g, s, out=gx)
-            np.subtract(g, gx.sum(axis=axis, keepdims=True), out=gx)
-            gx *= s
-            if c is not None:
-                gx *= c
-            return (gx,)
 
-        return _tiled(grad, rows, (s, g), lambda: (np.empty_like(s),))
+def _softmax_grad(s: np.ndarray, g: np.ndarray, axis: int, c) -> np.ndarray:
+    """The gradient of softmax(x * c + mask) at x, given its output s and output gradient g."""
+    rows = s.shape[0] if s.ndim > 1 and axis % s.ndim != 0 else 1
 
-    return _result(s, (x,), backward_fn)
+    def grad(s, g, gx=None):
+        gx = np.multiply(g, s, out=gx)
+        np.subtract(g, gx.sum(axis=axis, keepdims=True), out=gx)
+        gx *= s
+        if c is not None:
+            gx *= c
+        return (gx,)
+
+    return _tiled(grad, rows, (s, g), lambda: (np.empty_like(s),))[0]
 
 
 _GELU_K = 0.7978845608028654  # sqrt(2/pi)
@@ -309,28 +334,37 @@ def _gelu_tanh(d):
     return np.tanh(t, out=t)
 
 
+def _gelu_out(d, t, out=None):
+    """gelu(d) = 0.5 * d * (1 + t) from t = _gelu_tanh(d), in the forward's operation order."""
+    out = np.multiply(d, 0.5, out=out)
+    out *= t + 1.0
+    return out
+
+
+def _gelu_slope(d, t, dx=None):
+    """gelu'(d) = 0.5 * (1 + t) + 0.5 * d * (1 - t * t) * K * (1 + 3 * C * d * d)."""
+    dx = np.multiply(d, 3.0 * _GELU_C, out=dx)
+    dx *= d
+    dx += 1.0
+    dx *= _GELU_K
+    dx *= 0.5 * d * (1.0 - t * t)
+    dx += 0.5 * (1.0 + t)
+    return dx
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation."""
     x = as_tensor(x)
     shape, d = x.data.shape, x.data.reshape(-1)
 
     def forward(d, out=None):
-        out = np.multiply(d, 0.5, out=out)
-        out *= _gelu_tanh(d) + 1.0
-        return (out,)
+        return (_gelu_out(d, _gelu_tanh(d), out),)
 
     out, = _tiled(forward, d.size, (d,), lambda: (np.empty_like(d),))
 
     def backward_fn(g):
         def grad(d, g, dx=None):
-            # dx = 0.5 * (1 + t) + 0.5 * d * (1 - t * t) * K * (1 + 3 * C * d * d)
-            t = _gelu_tanh(d)
-            dx = np.multiply(d, 3.0 * _GELU_C, out=dx)
-            dx *= d
-            dx += 1.0
-            dx *= _GELU_K
-            dx *= 0.5 * d * (1.0 - t * t)
-            dx += 0.5 * (1.0 + t)
+            dx = _gelu_slope(d, _gelu_tanh(d), dx)
             dx *= g
             return (dx,)
 
@@ -338,6 +372,32 @@ def gelu(x: Tensor) -> Tensor:
         return (dx.reshape(shape),)
 
     return _result(out.reshape(shape), (x,), backward_fn)
+
+
+def gelu_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """linear(gelu(x), w, b) as one node that keeps x, not gelu(x).
+
+    Backward rebuilds gelu(x) for w's gradient from the tanh that gelu's
+    gradient recomputes, tile by tile, with the forward's arithmetic.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    out = linear(gelu(_free(x.data)), _free(w.data), _free(b.data)).data
+    d, wd, sb = x.data.reshape(-1), w.data, b.data.shape
+    rw, rb = w.requires_grad, b.requires_grad
+
+    def grad(d, g, a=None):  # g: this tile of gelu's output gradient, made x's in place
+        t = _gelu_tanh(d)
+        np.multiply(g, _gelu_slope(d, t), out=g)
+        return (_gelu_out(d, t, a),)
+
+    def backward_fn(g):
+        k, n = wd.shape
+        gx = np.matmul(g, wd.T)
+        a, = _tiled(grad, d.size, (d, gx.reshape(-1)), lambda: (np.empty_like(d),))
+        gw = a.reshape(-1, k).T @ g.reshape(-1, n) if rw else None
+        return (gx, gw, _unbroadcast(g, sb) if rb else None)
+
+    return _result(out, (x, w, b), backward_fn)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12,
@@ -443,22 +503,97 @@ def gather(x: Tensor, index) -> Tensor:
     return _result(data, (x,), backward_fn)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with a bool keep mask; draws one rng.random(x.shape) per call."""
+def _keep_mask(shape: tuple, rate: float, rng: np.random.Generator, dtype) -> tuple:
+    """Inverted dropout's bool keep mask, from one rng.random(shape) draw, and its scale."""
     if not 0.0 < rate < 1.0:
         raise ValueError(f"dropout rate must be in (0, 1), got {rate}")
-    x = as_tensor(x)
-    keep = rng.random(x.data.shape) >= rate
-    c = x.data.dtype.type(1.0) / x.data.dtype.type(1.0 - rate)
-    out = x.data * c
+    return rng.random(shape) >= rate, dtype.type(1.0) / dtype.type(1.0 - rate)
+
+
+def _kept(a: np.ndarray, keep: np.ndarray, c, out=None) -> np.ndarray:
+    """a * c where keep holds, 0 elsewhere: dropout's output and its gradient alike."""
+    out = np.multiply(a, c, out=out)
     out *= keep
+    return out
+
+
+def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout with a bool keep mask; draws one rng.random(x.shape) per call."""
+    x = as_tensor(x)
+    keep, c = _keep_mask(x.data.shape, rate, rng, x.data.dtype)
+    return _result(_kept(x.data, keep, c), (x,), lambda g: (_kept(g, keep, c),))
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int, mask=None,
+              rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+    """Scaled dot-product attention over num_heads subspaces, as one node.
+
+    q is (B, Tq, H); k and v are (Bk, Tk, H), or already split into heads
+    as (Bk, heads, Tk, H / heads), where Bk is B or 1. Per head the
+    probabilities are softmax(q k^T / sqrt(H / heads) + mask), for an
+    additive mask that broadcasts to (B, heads, Tq, Tk). Given an rng and
+    a positive rate they take inverted dropout, drawn as dropout draws
+    for their shape. Returns the (B, Tq, H) context.
+
+    The node keeps q, k, v, mask and the bool keep mask; backward
+    recomputes the scores, the softmax and the dropped probabilities, then
+    applies the chain's gradient formulas in the chain's order.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    batch, q_len, hidden = q.shape
+    dh = hidden // num_heads
+    scale = 1.0 / np.sqrt(dh)
+    qd, kd, vd = q.data, k.data, v.data
+    rq, rk, rv = q.requires_grad, k.requires_grad, v.requires_grad
+
+    def heads(a):  # a (B, heads, T, dh) view of a (B, T, H) array; split ones pass
+        return a if a.ndim == 4 else a.reshape(a.shape[:2] + (num_heads, dh)).transpose(0, 2, 1, 3)
+
+    def graph_free_heads(a):  # the same view through the public ops
+        t = _free(a)
+        return t if a.ndim == 4 else transpose(reshape(t, a.shape[:2] + (num_heads, dh)),
+                                               (0, 2, 1, 3))
+
+    kh = graph_free_heads(kd)
+    s = softmax(matmul(graph_free_heads(qd), transpose(kh, (0, 1, 3, 2))), scale=scale,
+                mask=mask).data
+    keep = c = None
+    if rng is not None and rate > 0.0:
+        keep, c = _keep_mask(s.shape, rate, rng, s.dtype)
+    p = s if keep is None else _kept(s, keep, c)
+    ctx = matmul(_free(p), graph_free_heads(vd))
+    out = reshape(transpose(ctx, (0, 2, 1, 3)), (batch, q_len, hidden)).data
+    sc = s.dtype.type(scale)
+    mask = None if mask is None else np.asarray(mask, dtype=s.dtype)
+
+    def merge(gh, shape):  # a (B, heads, T, dh) gradient back to its (B, T, H) input
+        return np.transpose(gh, (0, 2, 1, 3)).reshape(shape)
 
     def backward_fn(g):
-        gx = g * c
-        gx *= keep
-        return (gx,)
+        # the forward's arithmetic on the same views, without the public ops' bookkeeping
+        qh, kh, vh = heads(qd), heads(kd), heads(vd)
+        s = _softmax(np.matmul(qh, np.swapaxes(kh, -1, -2)), -1, sc, mask)
+        p = s if keep is None else _kept(s, keep, c)
+        gctx = np.transpose(g.reshape(batch, q_len, num_heads, dh), (0, 2, 1, 3))
+        gq = gk = gv = None
+        if rv:
+            gv = merge(_unbroadcast(np.matmul(np.swapaxes(p, -1, -2), gctx), vh.shape), vd.shape)
+        # the dropped probabilities' buffer takes their gradient
+        gp = np.matmul(gctx, np.swapaxes(vh, -1, -2), out=None if p is s else p)
+        del p
+        if keep is not None:
+            _kept(gp, keep, c, out=gp)
+        gs = _softmax_grad(s, gp, -1, sc)
+        del s, gp
+        if rq:
+            gq = merge(np.matmul(gs, kh), qd.shape)
+        if rk:
+            gkt = np.matmul(np.swapaxes(qh, -1, -2), gs)  # the gradient of k^T, as the chain forms it
+            gkt = _unbroadcast(gkt, np.swapaxes(kh, -1, -2).shape)
+            gk = merge(np.swapaxes(gkt, -1, -2), kd.shape)
+        return (gq, gk, gv)
 
-    return _result(out, (x,), backward_fn)
+    return _result(out, (q, k, v), backward_fn)
 
 
 def cross_entropy_masked(logits: Tensor, label_ids) -> Tensor:

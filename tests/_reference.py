@@ -278,6 +278,35 @@ def old_truncated_normal(rng, shape, std=0.02):
 
 
 # ------------------------------------------------------------------------
+# The attention and FFN chains before each became one node, kept verbatim
+# from inkstone.model: one node per op, so the graph keeps the softmax and
+# dropout outputs and gelu's. The fused nodes must match them bit for bit.
+
+def chain_attention(q, k, v, num_heads, mask=None, rate=0.0, rng=None):
+    """The ops between the projections of model._multi_head_attention, as it chained them."""
+    batch, q_len, hidden = q.shape
+    dh = hidden // num_heads
+
+    def heads(x):
+        if x.ndim == 4:  # the decoder cache held its keys and values split into heads
+            return x
+        x = T.reshape(x, (x.shape[0], x.shape[1], num_heads, dh))
+        return T.transpose(x, (0, 2, 1, 3))
+
+    q, k, v = heads(q), heads(k), heads(v)
+    probs = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), axis=-1,
+                      scale=1.0 / np.sqrt(dh), mask=mask)
+    if rng is not None and rate > 0.0:
+        probs = T.dropout(probs, rate, rng)
+    ctx = T.matmul(probs, v)
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (batch, q_len, hidden))
+
+
+def chain_gelu_linear(x, w, b):
+    return T.linear(T.gelu(x), w, b)
+
+
+# ------------------------------------------------------------------------
 # Ops the pipeline does not call, kept verbatim from inkstone.tensor as the
 # tests' gradient probes: reduce_sum(mul(out, g)) sends g back into out.
 
@@ -381,3 +410,30 @@ def argmax_from_step(step_fn, eos_id, max_len):
             break
         out.append(token)
     return out
+
+
+# ------------------------------------------------------------------------
+# The beam search before it stopped early at length penalty 0, with the
+# full stable sort that its top-k stood for: the stop must change no result.
+
+def old_beam_from_step(step_fn, eos_id, max_len, beam_size, alpha=0.0):
+    tokens = np.zeros((1, 0), dtype=np.int64)
+    running = np.zeros(1)
+    rows = [0]
+    finished = []
+    for _ in range(max_len):
+        scores = running[:, None] + np.asarray(step_fn(rows, tokens), dtype=np.float64)
+        flat = scores.ravel()
+        top = np.argsort(-flat, kind="stable")[:beam_size]
+        hyps, toks = np.unravel_index(top, scores.shape)
+        eos = toks == eos_id
+        finished += [(tokens[h].tolist(), float(scores[h, eos_id])) for h in hyps[eos]]
+        rows, toks = hyps[~eos], toks[~eos]
+        if not rows.size:
+            break
+        tokens = np.concatenate([tokens[rows], toks[:, None]], axis=1)
+        running = scores[rows, toks]
+    pool = finished if finished else list(zip(tokens.tolist(), running.tolist()))
+    norm = lambda item: item[1] / (max(len(item[0]), 1) ** alpha)
+    best_tokens, best_score = max(pool, key=norm)
+    return best_tokens, norm((best_tokens, best_score))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from _reference import argmax_from_step
+from _reference import argmax_from_step, old_beam_from_step
 from _steps import batched, by_prefix
 import inkstone.decode as decode_module
 from inkstone import tensor as T
@@ -192,12 +192,78 @@ class TestBeamStep:
             calls.append((list(rows), tokens.copy()))
             return batched(step)(rows, tokens)
 
-        beam_from_step(recording, 0, max_len=6, beam_size=3)
+        # a length penalty turns the early stop off: here the search runs to the cap
+        beam_from_step(recording, 0, max_len=6, beam_size=3, alpha=1.0)
         assert calls[0][0] == [0] and calls[0][1].shape == (1, 0)
         assert len(calls) > 2
         for (_, previous), (rows, tokens) in zip(calls, calls[1:]):
             assert tokens.shape == (len(rows), previous.shape[1] + 1)
             np.testing.assert_array_equal(tokens[:, :-1], previous[rows])
+
+    def test_stops_once_no_live_hypothesis_can_win(self):
+        # EOS first at log 0.6: every live hypothesis already scores lower,
+        # and a log-prob can only lower it further
+        row = np.log([0.6, 0.3, 0.1])
+        calls = []
+
+        def step(rows, tokens):
+            calls.append(tokens.shape[1])
+            return np.tile(row, (len(rows), 1))
+
+        assert beam_from_step(step, 0, max_len=6, beam_size=2) == ([], row[0])
+        assert calls == [0]
+        # with a length penalty a longer finish may still win, so the search runs on
+        calls.clear()
+        beam_from_step(step, 0, max_len=6, beam_size=2, alpha=0.5)
+        assert calls == [0, 1, 2, 3, 4, 5]
+
+    def test_a_live_tie_with_the_best_finish_stops_and_the_earlier_finish_wins(self):
+        # [] and [1] tie at log 0.5, where [1] finishes one step later
+        half = math.log(0.5)
+        step = batched(lambda prefix: np.array([0.0, -np.inf, -np.inf] if prefix
+                                               else [half, half, -np.inf]))
+        calls = []
+
+        def counted(rows, tokens):
+            calls.append(tokens.shape[1])
+            return step(rows, tokens)
+
+        assert beam_from_step(counted, 0, max_len=4, beam_size=2) == ([], half)
+        assert calls == [0]
+        assert old_beam_from_step(step, 0, 4, 2) == ([], half)
+
+    def test_matches_the_search_without_the_stop(self):
+        rng = np.random.default_rng(17)
+        fewer = 0
+        for _ in range(600):
+            vocab_size = int(rng.integers(2, 9))
+            cache = {}
+
+            def step(prefix):
+                # few distinct log-probs, so scores tie often; some tokens suppressed
+                key = tuple(prefix)
+                if key not in cache:
+                    row = -rng.integers(0, 3, size=vocab_size).astype(np.float64)
+                    row[rng.random(vocab_size) < 0.15] = -np.inf
+                    cache[key] = row
+                return cache[key]
+
+            width, cap = int(rng.integers(1, 7)), int(rng.integers(1, 8))
+            for alpha in (0.0, 0.6):
+                counts = []
+                for search in (beam_from_step, old_beam_from_step):
+                    calls = []
+
+                    def counted(rows, tokens):
+                        calls.append(1)
+                        return batched(step)(rows, tokens)
+
+                    counts.append((search(counted, 0, cap, width, alpha), len(calls)))
+                (got, new_calls), (want, old_calls) = counts
+                assert got == want
+                assert new_calls <= old_calls if alpha == 0.0 else new_calls == old_calls
+                fewer += new_calls < old_calls
+        assert fewer > 0
 
     def test_deterministic(self):
         step = random_step(np.random.default_rng(3), 5)
@@ -216,6 +282,18 @@ class TestTopK:
         flat = np.array([-np.inf, 0.5, -np.inf, 0.5])
         assert _top_k(flat, 3).tolist() == [1, 3, 0]
         assert _top_k(flat, 27).tolist() == [1, 3, 0, 2]
+
+    @pytest.mark.parametrize("size", [1, 7, 150, 20007])
+    def test_wide_rows_with_ties_match_full_stable_sort(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(20):
+            flat = rng.integers(-4, 1, size=size).astype(np.float64)
+            flat[rng.random(size) < 0.3] = -np.inf
+            if rng.random() < 0.2:
+                flat[:] = -np.inf
+            for k in (1, 2, 4, 33, size, size + 3):
+                want = np.argsort(-flat, kind="stable")[:k]
+                assert _top_k(flat, k).tolist() == want.tolist()
 
     def test_matches_full_stable_sort(self):
         rng = np.random.default_rng(5)

@@ -1,5 +1,6 @@
 """Model construction, forward pass, and checkpoint tests."""
 
+import inspect
 import json
 import struct
 import tracemalloc
@@ -30,6 +31,8 @@ from inkstone.model import (
     build_model,
     cls_head,
     decoder_forward,
+    decoder_head,
+    decoder_stack,
     encoder_forward,
     ensure_cls_head,
     ensure_mlm_head,
@@ -642,6 +645,32 @@ def held_op_outputs(loss):
     return held
 
 
+def base(a):
+    """The array that owns a view's memory."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def held_arrays(loss):
+    """The arrays that the backward closures of loss's graph hold, through nested functions."""
+    arrays, seen, stack = [], set(), [loss._node]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, T._Node):
+            stack += [obj._backward, *obj._parents]
+        elif inspect.isfunction(obj):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+    return arrays
+
+
 class TestGraphHoldsNoActivations:
     def test_mlm_training_graph(self):
         cfg = toy_config(dropout_rate=0.1, num_layers=2)
@@ -653,6 +682,35 @@ class TestGraphHoldsNoActivations:
         labelled = T.gather(out.hidden, (np.array([0, 1, 2, 2]), np.array([1, 3, 0, 7])))
         loss = T.cross_entropy_masked(mlm_head(ckpt, labelled), [5, 9, 6, 11])
         assert held_op_outputs(loss) == []
+
+    def test_no_attention_probabilities_and_one_ffn_array_per_layer(self):
+        # sizes chosen so that no other array has a probability or FFN shape
+        batch, src_len, tgt_len, heads, ff = 2, 7, 5, 3, 20
+        cfg = toy_config(vocab_size=23, num_layers=2, hidden_size=12, num_heads=heads,
+                         ff_size=ff, dropout_rate=0.1, decoder_layers=1)
+        ckpt = build_model(cfg, init_seed=5)
+        ensure_mlm_head(ckpt, init_seed=6)
+        rng = np.random.default_rng(7)
+        src = rng.integers(5, 23, size=(batch, src_len))
+        tgt = rng.integers(5, 23, size=(batch, tgt_len))
+        mask = np.ones_like(src)
+        mask[1, -2:] = 0
+        enc = encoder_forward(ckpt, src, mask, rng=rng)
+        hidden = decoder_stack(ckpt, tgt, enc.hidden, mask, rng=rng)
+        loss = T.add(
+            T.cross_entropy_masked(mlm_head(ckpt, T.reshape(enc.hidden, (-1, 12))),
+                                   src.reshape(-1)),
+            T.cross_entropy_masked(decoder_head(ckpt, T.reshape(hidden, (-1, 12))),
+                                   tgt.reshape(-1)))
+        held = held_arrays(loss)
+        probs = {(batch, heads, q, k) for q, k in ((src_len, src_len), (tgt_len, tgt_len),
+                                                   (tgt_len, src_len))}
+        # one bool keep mask per attention, and no float array of that shape
+        attentions = cfg.num_layers + 2 * cfg.decoder_layers
+        assert [a.dtype for a in held if a.shape in probs] == [np.bool_] * attentions
+        ffn = {id(base(a)) for a in held
+               if a.dtype.kind == "f" and a.size in (batch * src_len * ff, batch * tgt_len * ff)}
+        assert len(ffn) == cfg.num_layers + cfg.decoder_layers
 
     def test_seq2seq_training_graph(self):
         chars = [chr(c) for c in range(0x4E00, 0x4E00 + 10)]

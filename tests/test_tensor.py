@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from _reference import (
+    chain_attention,
+    chain_gelu_linear,
     formula_cross_entropy,
     formula_gelu,
     formula_layer_norm,
@@ -380,6 +382,107 @@ class TestFusedOps:
             return reduce_sum(mul(T.dropout(x, 0.3, np.random.default_rng(5)), w))
 
         assert T.grad_check(build, [x]) < 1e-4
+
+
+class TestFusedNodes:
+    """attention and gelu_linear against the op chains they replace, bit for bit."""
+
+    @pytest.fixture(params=[np.float32, np.float64])
+    def dtype(self, request):
+        return request.param
+
+    @staticmethod
+    def mask(kind, batch, q_len, k_len):
+        if kind == "causal":
+            return np.triu(np.full((q_len, k_len), -1e9, dtype=np.float32), k=1)[None, None]
+        key = np.zeros((batch, 1, 1, k_len), dtype=np.float32)
+        key[1:, ..., k_len // 2 + 1:] = -1e9
+        return key
+
+    # (mask, batch, q_len, k_len, hidden, heads); the last two span several softmax tiles
+    @pytest.mark.parametrize("kind,batch,q_len,k_len,hidden,heads", [
+        ("key", 3, 5, 5, 16, 2), ("causal", 3, 5, 5, 16, 2), ("key", 3, 4, 7, 12, 3),
+        ("key", 5, 64, 64, 16, 2), ("causal", 5, 64, 64, 16, 2)])
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_attention_matches_the_chain(self, rng, dtype, kind, batch, q_len, k_len, hidden,
+                                         heads, rate):
+        shapes = ((batch, q_len, hidden), (batch, k_len, hidden), (batch, k_len, hidden))
+        arrays = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        g = rng.standard_normal(shapes[0]).astype(dtype)
+        mask = self.mask(kind, batch, q_len, k_len)
+        fused_in, chain_in = ([T.parameter(a, dtype=dtype) for a in arrays] for _ in range(2))
+        draws = [np.random.default_rng(5) if rate else None for _ in range(2)]
+        fused = T.attention(*fused_in, heads, mask, rate, draws[0])
+        chain = chain_attention(*chain_in, heads, mask, rate, draws[1])
+        assert fused._parents == tuple(fused_in)
+        backprop(fused, g)
+        backprop(chain, g)
+        assert fused.dtype == dtype and np.array_equal(fused.data, chain.data)
+        for a, b in zip(fused_in, chain_in):
+            assert np.array_equal(a.grad, b.grad)
+        if rate:
+            assert draws[0].bit_generator.state == draws[1].bit_generator.state
+
+    @pytest.mark.parametrize("k_batch", [3, 1])
+    def test_attention_on_keys_split_into_heads_matches_the_chain(self, rng, k_batch):
+        # the decoder cache's layout: one query position, keys and values already
+        # split, contiguous after a concatenation (at 8 per head, BLAS rounds a
+        # strided view of the same keys differently)
+        batch, k_len, heads, dh = 3, 64, 4, 8
+        q = rng.standard_normal((batch, 1, heads * dh)).astype(np.float32)
+        k, v = (rng.standard_normal((k_batch, heads, k_len, dh)).astype(np.float32)
+                for _ in range(2))
+        mask = self.mask("key", k_batch, 1, k_len)
+        with T.no_grad():
+            fused = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, mask)
+            chain = chain_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), heads, mask)
+        assert np.array_equal(fused.data, chain.data)
+
+    def test_attention_draws_as_dropout_draws_on_the_probabilities(self, rng):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        q = T.Tensor(rng.standard_normal((3, 5, 6)).astype(np.float32))
+        k = T.Tensor(rng.standard_normal((3, 7, 6)).astype(np.float32))
+        T.attention(q, k, k, 2, None, 0.2, a)
+        b.random((3, 2, 5, 7))
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_grad_check_attention(self, rng):
+        q, k, v = (T.parameter(rng.standard_normal((2, 3, 4))) for _ in range(3))
+        w = T.Tensor(rng.standard_normal((2, 3, 4)))
+        mask = self.mask("key", 2, 3, 3)
+
+        def build():
+            out = T.attention(q, k, v, 2, mask, 0.3, np.random.default_rng(5))
+            return reduce_sum(mul(out, w))
+
+        assert T.grad_check(build, [q, k, v]) < 1e-4
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=["one_tile", "tiles"])
+    def test_gelu_linear_matches_the_chain(self, rng, dtype, shape):
+        x0 = (rng.standard_normal(shape) * 3).astype(dtype)
+        w0 = rng.standard_normal((shape[-1], 7)).astype(dtype)
+        b0 = rng.standard_normal(7).astype(dtype)
+        g = rng.standard_normal(shape[:-1] + (7,)).astype(dtype)
+        fused_in, chain_in = ([T.parameter(a, dtype=dtype) for a in (x0, w0, b0)]
+                              for _ in range(2))
+        fused = T.gelu_linear(*fused_in)
+        chain = chain_gelu_linear(*chain_in)
+        backprop(fused, g)
+        backprop(chain, g)
+        assert fused.dtype == dtype and np.array_equal(fused.data, chain.data)
+        for a, b in zip(fused_in, chain_in):
+            assert np.array_equal(a.grad, b.grad)
+
+    def test_grad_check_gelu_linear(self, rng):
+        x = T.parameter(rng.standard_normal((2, 3, 4)))
+        w = T.parameter(rng.standard_normal((4, 5)))
+        b = T.parameter(rng.standard_normal(5))
+        wt = T.Tensor(rng.standard_normal((2, 3, 5)))
+
+        def build():
+            return reduce_sum(mul(T.gelu_linear(x, w, b), wt))
+
+        assert T.grad_check(build, [x, w, b]) < 1e-4
 
 
 class TestSoftmax:
